@@ -156,68 +156,43 @@ as_row(PyObject *o, Py_ssize_t cap, const char *what)
     return i;
 }
 
-/* Materialise the running set (row-keyed dict under epochs, row list on
- * the legacy engine) as parallel (key object, row index) arrays.  Key
- * references are borrowed: from the dict entries, or from an owned fast
- * sequence returned via *fast_out (caller decrefs it after use).  Rows
- * are bounds-checked against cap. */
+/* Materialise the running set (a row-keyed dict) as parallel (key
+ * object, row index) arrays.  Key references are borrowed from the dict
+ * entries.  Rows are bounds-checked against cap; a non-dict raises
+ * TypeError. */
 static Py_ssize_t
 gather_rows(PyObject *running, Py_ssize_t cap,
-            PyObject ***keys_out, Py_ssize_t **rows_out, PyObject **fast_out)
+            PyObject ***keys_out, Py_ssize_t **rows_out)
 {
-    PyObject **keys = NULL;
-    Py_ssize_t *rows = NULL;
-    PyObject *fast = NULL;
-    Py_ssize_t n;
-
-    if (PyDict_Check(running)) {
-        n = PyDict_GET_SIZE(running);
-        keys = PyMem_New(PyObject *, n > 0 ? n : 1);
-        rows = PyMem_New(Py_ssize_t, n > 0 ? n : 1);
-        if (keys == NULL || rows == NULL)
-            goto nomem;
-        Py_ssize_t pos = 0, k = 0;
-        PyObject *key, *val;
-        while (PyDict_Next(running, &pos, &key, &val)) {
-            Py_ssize_t i = as_row(key, cap, "running");
-            if (i < 0)
-                goto fail;
-            keys[k] = key;
-            rows[k] = i;
-            k++;
-        }
-        n = k;
+    if (!PyDict_Check(running)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "fastcore: running set must be a dict");
+        return -1;
     }
-    else {
-        fast = PySequence_Fast(running, "fastcore: running set must be a "
-                                        "dict or a sequence of rows");
-        if (fast == NULL)
+    Py_ssize_t n = PyDict_GET_SIZE(running);
+    PyObject **keys = PyMem_New(PyObject *, n > 0 ? n : 1);
+    Py_ssize_t *rows = PyMem_New(Py_ssize_t, n > 0 ? n : 1);
+    if (keys == NULL || rows == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    Py_ssize_t pos = 0, k = 0;
+    PyObject *key, *val;
+    while (PyDict_Next(running, &pos, &key, &val)) {
+        Py_ssize_t i = as_row(key, cap, "running");
+        if (i < 0)
             goto fail;
-        n = PySequence_Fast_GET_SIZE(fast);
-        PyObject **items = PySequence_Fast_ITEMS(fast);
-        keys = PyMem_New(PyObject *, n > 0 ? n : 1);
-        rows = PyMem_New(Py_ssize_t, n > 0 ? n : 1);
-        if (keys == NULL || rows == NULL)
-            goto nomem;
-        for (Py_ssize_t k = 0; k < n; k++) {
-            Py_ssize_t i = as_row(items[k], cap, "running");
-            if (i < 0)
-                goto fail;
-            keys[k] = items[k];
-            rows[k] = i;
-        }
+        keys[k] = key;
+        rows[k] = i;
+        k++;
     }
     *keys_out = keys;
     *rows_out = rows;
-    *fast_out = fast;
-    return n;
+    return k;
 
-nomem:
-    PyErr_NoMemory();
 fail:
     PyMem_Free(keys);
     PyMem_Free(rows);
-    Py_XDECREF(fast);
     return -1;
 }
 
@@ -1001,8 +976,7 @@ advance_running(PyObject *self, PyObject *args)
 
     PyObject **keys;
     Py_ssize_t *rows;
-    PyObject *fast;
-    Py_ssize_t n = gather_rows(running, ncols, &keys, &rows, &fast);
+    Py_ssize_t n = gather_rows(running, ncols, &keys, &rows);
     if (n < 0) {
         bufs_release(&B);
         return NULL;
@@ -1015,7 +989,6 @@ advance_running(PyObject *self, PyObject *args)
     }
     PyMem_Free(keys);
     PyMem_Free(rows);
-    Py_XDECREF(fast);
     bufs_release(&B);
     Py_RETURN_NONE;
 }
@@ -1053,8 +1026,7 @@ advance_collect(PyObject *self, PyObject *args)
 
     PyObject **keys;
     Py_ssize_t *rows;
-    PyObject *fast;
-    Py_ssize_t n = gather_rows(running, ncols, &keys, &rows, &fast);
+    Py_ssize_t n = gather_rows(running, ncols, &keys, &rows);
     if (n < 0) {
         bufs_release(&B);
         return NULL;
@@ -1080,7 +1052,6 @@ advance_collect(PyObject *self, PyObject *args)
     }
     PyMem_Free(keys);
     PyMem_Free(rows);
-    Py_XDECREF(fast);
     bufs_release(&B);
     if (err)
         return NULL;
@@ -1119,8 +1090,7 @@ scan_candidates(PyObject *self, PyObject *args)
 
     PyObject **keys;
     Py_ssize_t *rows;
-    PyObject *fast;
-    Py_ssize_t n = gather_rows(running, ncols, &keys, &rows, &fast);
+    Py_ssize_t n = gather_rows(running, ncols, &keys, &rows);
     if (n < 0) {
         bufs_release(&B);
         return NULL;
@@ -1144,7 +1114,6 @@ scan_candidates(PyObject *self, PyObject *args)
 done:
     PyMem_Free(keys);
     PyMem_Free(rows);
-    Py_XDECREF(fast);
     bufs_release(&B);
     return raw;
 }
@@ -1185,8 +1154,7 @@ scan_completions(PyObject *self, PyObject *args)
 
     PyObject **keys;
     Py_ssize_t *rows;
-    PyObject *fast;
-    Py_ssize_t n = gather_rows(running, ncols, &keys, &rows, &fast);
+    Py_ssize_t n = gather_rows(running, ncols, &keys, &rows);
     if (n < 0) {
         bufs_release(&B);
         return NULL;
@@ -1240,7 +1208,6 @@ scan_completions(PyObject *self, PyObject *args)
 done:
     PyMem_Free(keys);
     PyMem_Free(rows);
-    Py_XDECREF(fast);
     bufs_release(&B);
     return result;
 }
@@ -1672,8 +1639,8 @@ apply_diff(PyObject *self, PyObject *args)
     if (PyErr_Occurred())
         goto done;
 
-    /* ---- snapshot availability-gated flows (legacy order: built before
-     *      the changed pass mutates `gated`) --------------------------- */
+    /* ---- snapshot availability-gated flows (before the changed pass
+     *      mutates `gated`) ------------------------------------------- */
     if (PyDict_GET_SIZE(gated) > 0) {
         Py_ssize_t ng = PyDict_GET_SIZE(gated);
         gated_pairs = PyMem_New(PyObject *, 2 * ng);

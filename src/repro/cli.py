@@ -9,8 +9,8 @@ Sub-commands:
   sweep runner's process fan-out and result cache).
 * ``simulate`` — run one policy on a trace file or a synthetic workload and
   print CCT statistics (``--policy``, ``--trace``/``--synthetic``;
-  ``--no-incremental`` selects the full-recompute scheduling path;
-  ``--streaming`` drives the run through a lazily-pulled scenario stream;
+  ``--no-fastcore`` forces the pure-Python kernels; ``--streaming``
+  drives the run through a lazily-pulled scenario stream;
   ``--topology leaf-spine --oversub 4`` simulates an oversubscribed
   leaf–spine fabric instead of the paper's big switch; ``--checkpoint
   PATH`` writes durable session checkpoints as the run progresses and
@@ -184,12 +184,6 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--coflows", type=int, default=150)
     simulate.add_argument("--seed", type=int, default=7)
     simulate.add_argument("--sync-interval-ms", type=float, default=0.0)
-    simulate.add_argument("--no-incremental", action="store_true",
-                          help="use the full-recompute scheduling path "
-                               "(slower; results are identical)")
-    simulate.add_argument("--no-epochs", action="store_true",
-                          help="disable the engine's allocation-epoch path "
-                               "(slower; results are identical)")
     simulate.add_argument("--no-fastcore", action="store_true",
                           help="disable the compiled C hot-loop kernels "
                                "(slower; results are identical)")
@@ -241,8 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--sync-interval-ms", type=float, default=0.0)
     sweep.add_argument("--jobs", type=int, default=None)
     sweep.add_argument("--cache-dir", type=Path, default=None)
-    sweep.add_argument("--no-incremental", action="store_true")
-    sweep.add_argument("--no-epochs", action="store_true")
     sweep.add_argument("--no-fastcore", action="store_true")
     sweep.add_argument("--retries", type=int, default=None,
                        help="max attempts per run before it is reported as "
@@ -277,8 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_sweep(args: argparse.Namespace) -> str:
     config = SimulationConfig(
         sync_interval=args.sync_interval_ms * MSEC,
-        incremental=not args.no_incremental,
-        epochs=not args.no_epochs,
         fastcore=not args.no_fastcore,
     )
     retry = None
@@ -435,8 +425,6 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
         return _finish_instrumentation(args, summary, tracer, metrics)
     config = SimulationConfig(
         sync_interval=args.sync_interval_ms * MSEC,
-        incremental=not args.no_incremental,
-        epochs=not args.no_epochs,
         fastcore=not args.no_fastcore,
     )
     if args.trace is not None:

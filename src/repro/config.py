@@ -140,29 +140,17 @@ class SimulationConfig:
       count as "available" in all-or-none admission.
     * ``epsilon_bytes`` — tolerance below which a flow's remaining volume is
       treated as zero (fluid-simulation rounding guard).
-    * ``incremental`` — maintain scheduler bookkeeping (queue placement,
-      contention counts, residual-capacity ledgers) incrementally from the
-      per-event :class:`~repro.simulator.state.SchedulingDelta` instead of
-      rebuilding it from scratch every round. The two paths are exactly
-      equivalent (asserted by the equivalence test-suite); ``False``
-      restores the original full-recompute path (CLI ``--no-incremental``).
-    * ``epochs`` — run the engine's allocation lifecycle in *epochs*: apply
-      allocations as rate diffs against the previous round (touching only
-      flows whose rate changed), find the next completion through a lazy
-      min-heap instead of scanning every running flow per event, and let
-      rate allocators consume the cluster state's per-coflow port-count
-      caches. Exactly equivalent to the per-event full recompute (asserted
-      by the equivalence suite); ``False`` restores the pre-epoch engine
-      (CLI ``--no-epochs``).
     * ``fastcore`` — use the compiled C twins of the hot loops
       (:mod:`repro._fastcore`) when the extension is built. Bit-identical
       to the pure-Python rows path (asserted by the fuzz firewall);
       ``False`` forces the Python path (CLI ``--no-fastcore``). When the
       extension is absent the engine falls back to Python automatically,
       with a loud one-time ``RuntimeWarning``.
-    * ``validate_incremental`` — debug mode: run the incremental *and* the
-      full-recompute bookkeeping every round and assert they agree. Slower
-      than either path alone; used by the equivalence tests.
+
+    There is one engine path: scheduler bookkeeping is kept incrementally
+    and allocations are applied as rate diffs. Its full-recompute oracle,
+    which the equivalence suite compares it with, is
+    :mod:`repro.testing.reference`, not a config switch.
     """
 
     port_rate: float = GBPS
@@ -174,10 +162,7 @@ class SimulationConfig:
     min_rate: float = 1.0
     epsilon_bytes: float = 1e-6
     max_sim_time: float = 1e7
-    incremental: bool = True
-    epochs: bool = True
     fastcore: bool = True
-    validate_incremental: bool = False
 
     def __post_init__(self) -> None:
         if self.port_rate <= 0:

@@ -246,24 +246,6 @@ class ContentionTracker:
             self._dirty.clear()
         return self._counts
 
-    def assert_matches_full(
-        self, coflows: Iterable[CoFlow],
-        queue_of: Mapping[int, int] | None = None,
-    ) -> None:
-        """Equivalence assertion: incremental counts == full recompute.
-
-        Used by the ``validate_incremental`` debug mode and the equivalence
-        tests; raises ``AssertionError`` with the differing entries.
-        """
-        full = contention_counts(
-            coflows, scope=self.scope, queue_of=queue_of
-        )
-        mine = self.counts(queue_of)
-        assert mine == full, (
-            "incremental contention diverged from full recompute: "
-            f"{ {k: (mine.get(k), full.get(k)) for k in set(mine) | set(full) if mine.get(k) != full.get(k)} }"
-        )
-
 
 def waiting_time_increase(
     coflow: CoFlow, contention: Mapping[int, int], port_rate: float

@@ -38,7 +38,7 @@ from ..simulator.ratealloc import (
     greedy_residual_rates_rows,
 )
 from ..simulator.state import ClusterState
-from .contention import ContentionTracker, contention_counts
+from .contention import ContentionTracker
 from .dynamics import promotion_queue
 
 
@@ -74,8 +74,7 @@ class SaathScheduler(Scheduler):
         metric = "perflow" if use_perflow_threshold else "total"
         self.tracker = QueueTracker(config, metric=metric)
         #: Incrementally-maintained contention index (LCoF only). Rebuilt
-        #: whenever the engine flags a full resync; config.incremental=False
-        #: ignores it and recomputes contention from scratch every round.
+        #: whenever the engine flags a full resync.
         self._contention = (
             ContentionTracker(config.contention_scope) if use_lcof else None
         )
@@ -106,18 +105,13 @@ class SaathScheduler(Scheduler):
 
     def schedule(self, state: ClusterState, now: float) -> Allocation:
         # Incremental rounds consume the engine's dirty set; full rounds
-        # (first round, dynamics, or incremental=False) rebuild everything.
-        incremental = self.config.incremental and not state.delta.full
+        # (first round, dynamics) rebuild everything.
+        incremental = not state.delta.full
         queue_moves = self._assign_queues(state, now, incremental)
         order = self._scheduling_order(state, now, incremental, queue_moves)
 
-        ledger = self._round_ledger(state)
+        ledger = state.acquire_ledger()
         allocation = Allocation()
-
-        #: Flow-group compaction: per-port pending counts replace the
-        #: per-flow recount in admission and D2 rate assignment whenever
-        #: they exactly describe the schedulable set.
-        use_counts = self.config.epochs
 
         paths = state.paths
         if paths is not None:
@@ -156,8 +150,10 @@ class SaathScheduler(Scheduler):
                 rows = state.schedulable_rows(coflow, now)
                 if not rows:
                     continue
-                counts = (state.port_counts(coflow, now)
-                          if use_counts else None)
+                # Flow-group compaction: per-port pending counts replace
+                # the per-flow recount in admission and D2 rate assignment
+                # whenever they exactly describe the schedulable set.
+                counts = state.port_counts(coflow, now)
                 if self._admissible_rows(rows, table, ledger, counts):
                     rates = equal_rate_for_coflow_rows(
                         rows, table, ledger, port_counts=counts
@@ -180,7 +176,7 @@ class SaathScheduler(Scheduler):
             flows = state.schedulable_flows(coflow, now)
             if not flows:
                 continue
-            counts = state.port_counts(coflow, now) if use_counts else None
+            counts = state.port_counts(coflow, now)
             if self._all_or_none_admissible(flows, ledger, counts):
                 rates = equal_rate_for_coflow(
                     coflow, ledger, flows=flows, port_counts=counts
@@ -197,20 +193,16 @@ class SaathScheduler(Scheduler):
 
     def next_wakeup(self, state: ClusterState, allocation: Allocation,
                     now: float) -> float | None:
-        """Queue-threshold crossings and starvation-deadline expiries."""
-        if self.config.incremental:
-            # Only coflows that received rate this round can cross a
-            # threshold before the next event; everyone else sits still
-            # (zero rate on every flow ⇒ infinite transition time).
-            candidates = [
-                state.coflow(cid)
-                for cid in (allocation.scheduled_coflows
-                            | allocation.work_conserved_coflows)
-            ]
-        else:
-            candidates = state.active_coflows
+        """Queue-threshold crossings and starvation-deadline expiries.
+
+        Only coflows that received rate this round can cross a threshold
+        before the next event; everyone else sits still (zero rate on
+        every flow ⇒ infinite transition time).
+        """
         best = math.inf
-        for coflow in candidates:
+        for cid in (allocation.scheduled_coflows
+                    | allocation.work_conserved_coflows):
+            coflow = state.coflow(cid)
             dt = self.tracker.next_transition_time(
                 coflow, allocation.rates,
                 pending_rows=state.pending_rows(coflow),
@@ -310,10 +302,8 @@ class SaathScheduler(Scheduler):
                            queue_moves: set[int]) -> dict[int, int]:
         """Current LCoF contention map ``k_c`` for every active coflow.
 
-        ``config.incremental=False`` keeps the original full recompute;
-        otherwise the :class:`ContentionTracker` is patched from the
-        engine's delta (rebuilt from scratch on full-resync rounds). The
-        ``validate_incremental`` debug mode runs both and asserts equality.
+        The :class:`ContentionTracker` is patched from the engine's delta
+        and rebuilt from scratch on full-resync rounds.
         """
         queue_of: dict[int, int] | None = None
         if self.config.contention_scope == "queue":
@@ -321,13 +311,6 @@ class SaathScheduler(Scheduler):
                 c.coflow_id: self.tracker.queue_of(c)
                 for c in state.active_coflows
             }
-        if not self.config.incremental:
-            return contention_counts(
-                state.active_coflows,
-                scope=self.config.contention_scope,
-                queue_of=queue_of,
-            )
-
         tracker = self._contention
         assert tracker is not None  # use_lcof guards construction
         if not incremental:
@@ -351,8 +334,6 @@ class SaathScheduler(Scheduler):
                 )
             for cid in queue_moves:
                 tracker.note_queue_change(cid)
-        if self.config.validate_incremental:
-            tracker.assert_matches_full(state.active_coflows, queue_of)
         return tracker.counts(queue_of)
 
     def _all_or_none_admissible(self, flows: list[Flow], ledger,

@@ -89,8 +89,8 @@ class AaloScheduler(Scheduler):
     def schedule(self, state: ClusterState, now: float) -> Allocation:
         # Total-bytes demotions only fire when a coflow moved bytes, so
         # incremental rounds revisit just the engine's dirty set; full
-        # rounds (first round, dynamics, incremental=False) rescan.
-        if self.config.incremental and not state.delta.full:
+        # rounds (first round, dynamics) rescan.
+        if not state.delta.full:
             delta = state.delta
             dirty = delta.arrived | delta.progressed | delta.flow_completed
             # Visit in active order so deadline bookkeeping (which reads
@@ -134,7 +134,7 @@ class AaloScheduler(Scheduler):
                 else:
                     runs[-1][1].append(f)
 
-        ledger = self._round_ledger(state)
+        ledger = state.acquire_ledger()
         allocation = Allocation()
         # Ports act independently; a deterministic port order stands in for
         # the real system's races on receiver capacity.
@@ -163,7 +163,7 @@ class AaloScheduler(Scheduler):
             for c in state.active_coflows
         ]
         decorated.sort()
-        ledger = self._round_ledger(state)
+        ledger = state.acquire_ledger()
         # Compiled round core: same flatten-and-serve, with the per-port
         # bucketing (CSR over senders) and both allocation passes in C.
         # Only the exact PortLedger layout qualifies (paths is None here,
@@ -377,16 +377,14 @@ class AaloScheduler(Scheduler):
 
     def next_wakeup(self, state: ClusterState, allocation: Allocation,
                     now: float) -> float | None:
-        """Wake at the next total-bytes queue-threshold crossing."""
-        if self.config.incremental:
-            # Zero-rate coflows cannot cross a total-bytes threshold.
-            candidates = [
-                state.coflow(cid) for cid in allocation.scheduled_coflows
-            ]
-        else:
-            candidates = state.active_coflows
+        """Wake at the next total-bytes queue-threshold crossing.
+
+        Zero-rate coflows cannot cross a total-bytes threshold, so only
+        this round's scheduled coflows are candidates.
+        """
         best = math.inf
-        for coflow in candidates:
+        for cid in allocation.scheduled_coflows:
+            coflow = state.coflow(cid)
             dt = self.tracker.next_transition_time(
                 coflow, allocation.rates,
                 pending_rows=state.pending_rows(coflow),

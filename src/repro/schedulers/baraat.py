@@ -56,7 +56,7 @@ class BaraatFifoLmScheduler(Scheduler):
             for f in state.schedulable_flows(coflow, now):
                 per_sender[f.src].append(f)
 
-        ledger = self._round_ledger(state)
+        ledger = state.acquire_ledger()
         allocation = Allocation()
         for port in sorted(per_sender):
             flows = sorted(

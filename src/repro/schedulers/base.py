@@ -74,17 +74,6 @@ class Scheduler(abc.ABC):
             tracker.tracer = tracer
             tracker.metrics = metrics
 
-    def _round_ledger(self, state: ClusterState):
-        """Residual-capacity ledger for one scheduling round.
-
-        Incremental mode reuses the state's cached ledger (cleared in
-        O(changed ports)); the full-recompute fallback builds a fresh one
-        exactly as the original implementation did.
-        """
-        if self.config.incremental:
-            return state.acquire_ledger()
-        return state.make_ledger()
-
     # ---- lifecycle hooks (optional) ----------------------------------------
 
     def on_coflow_arrival(self, coflow: CoFlow, now: float) -> None:

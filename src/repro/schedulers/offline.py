@@ -52,7 +52,7 @@ class OrderedClairvoyantScheduler(Scheduler):
             key=lambda c: (self.priority_key(c, state),
                            c.arrival_time, c.coflow_id),
         )
-        ledger = self._round_ledger(state)
+        ledger = state.acquire_ledger()
         allocation = Allocation()
         skipped: list[CoFlow] = []
         paths = state.paths

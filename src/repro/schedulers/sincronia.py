@@ -102,7 +102,7 @@ class SincroniaScheduler(Scheduler):
 
     def schedule(self, state: ClusterState, now: float) -> Allocation:
         order = bssi_order(list(state.active_coflows))
-        ledger = self._round_ledger(state)
+        ledger = state.acquire_ledger()
         allocation = Allocation()
         skipped: list[CoFlow] = []
         paths = state.paths

@@ -43,7 +43,7 @@ class UcTcpScheduler(Scheduler):
             flows = []
             for coflow in state.active_coflows:
                 flows.extend(state.schedulable_flows(coflow, now))
-            ledger = self._round_ledger(state)
+            ledger = state.acquire_ledger()
             rates = max_min_fair_paths(
                 flows, state.paths, ledger, commit=False
             )
@@ -62,7 +62,7 @@ class UcTcpScheduler(Scheduler):
             rows: list[int] = []
             for coflow in state.active_coflows:
                 rows.extend(state.schedulable_rows(coflow, now))
-            ledger = self._round_ledger(state)
+            ledger = state.acquire_ledger()
             # Pending-row caches never hold finished flows, so the fair
             # filling can skip its liveness re-filter.
             active, rate_of = max_min_fair_rows_raw(
@@ -89,7 +89,7 @@ class UcTcpScheduler(Scheduler):
         flows: list[Flow] = []
         for coflow in state.active_coflows:
             flows.extend(state.schedulable_flows(coflow, now))
-        ledger = self._round_ledger(state)
+        ledger = state.acquire_ledger()
         rates = max_min_fair(flows, ledger, commit=False)
         rates_get = rates.get
         for f in flows:

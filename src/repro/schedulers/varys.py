@@ -49,10 +49,10 @@ class VarysSebfScheduler(Scheduler):
         """Invalidate cached Γ for coflows whose remaining bytes may have
         moved since the last round (the engine's dirty set); everyone
         else's Γ is bit-identical to a recompute. Full rounds (first round,
-        dynamics, ``incremental=False``) drop the whole cache."""
+        dynamics) drop the whole cache."""
         cache = self._gamma_cache
         delta = state.delta
-        if not self.config.incremental or delta.full:
+        if delta.full:
             cache.clear()
             return
         for cid in delta.completed:
@@ -77,7 +77,7 @@ class VarysSebfScheduler(Scheduler):
             state.active_coflows,
             key=lambda c: (self._gamma(c, state), c.arrival_time, c.coflow_id),
         )
-        ledger = self._round_ledger(state)
+        ledger = state.acquire_ledger()
         allocation = Allocation()
         skipped: list[CoFlow] = []
         for coflow in order:
@@ -113,7 +113,7 @@ class VarysSebfScheduler(Scheduler):
             key=lambda c: (self._gamma(c, state), c.arrival_time, c.coflow_id),
         )
         table = state.table
-        ledger = self._round_ledger(state)
+        ledger = state.acquire_ledger()
         allocation = Allocation()
         skipped: list[CoFlow] = []
         for coflow in order:

@@ -165,13 +165,17 @@ def test_load_rejects_headerless_file(tmp_path):
 
 
 def test_load_rejects_future_format_version(tmp_path):
+    """Newer formats are unreadable, and so are older ones: a format-1
+    checkpoint may hold the running set as a row list, which the
+    dict-based epoch engine cannot resume."""
     path = _saved(tmp_path)
     head, _, body = path.read_bytes().partition(b"\n")
     header = json.loads(head)
-    header["format"] = CHECKPOINT_FORMAT + 1
-    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
-    with pytest.raises(CheckpointError, match="format version"):
-        SessionSnapshot.load(path)
+    for fmt in (CHECKPOINT_FORMAT + 1, CHECKPOINT_FORMAT - 1):
+        header["format"] = fmt
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        with pytest.raises(CheckpointError, match="format version"):
+            SessionSnapshot.load(path)
 
 
 def test_load_detects_truncation(tmp_path):

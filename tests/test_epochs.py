@@ -1,9 +1,10 @@
 """Allocation-epoch engine tests: rate diffing, the lazy completion heap,
 flow-group compaction, and the satellite fixes that ride along.
 
-The epoch engine (``SimulationConfig.epochs``) must be *exactly* equivalent
-to the pre-epoch engine: identical ``SimulationResult``s and an identical
-running set after every allocation application. These tests assert that
+The epoch engine must be *exactly* equivalent to the full-recompute
+reference engine (:mod:`repro.testing.reference`): identical
+``SimulationResult``s and an identical running set after every allocation
+application. These tests assert that
 white-box invariant directly, exercise the edge cases the diffing logic must
 preserve (rate perturbation, dynamics rebuilds, δ > 0 sync, zero-volume
 arrivals, DAG releases), and unit-test heap staleness handling and the
@@ -17,6 +18,7 @@ import random
 
 import pytest
 
+from repro import _fastcore
 from repro.config import QueueConfig, SimulationConfig
 from repro.schedulers.base import Allocation
 from repro.schedulers.registry import available_policies, make_scheduler
@@ -30,10 +32,11 @@ from repro.simulator.engine import SimulationResult, Simulator, run_policy
 from repro.simulator.fabric import Fabric, PortLedger
 from repro.simulator.flows import CoFlow, Flow, clone_coflows, make_coflow
 from repro.simulator.ratealloc import max_min_fair
+from repro.testing.reference import ReferenceSimulator, run_reference
 from repro.workloads.synthetic import WorkloadGenerator, fb_like_spec
 
 
-class _RecordingSimulator(Simulator):
+class _Recording:
     """Records the (time, running set) sequence after every application."""
 
     def __init__(self, *args, **kwargs):
@@ -49,9 +52,19 @@ class _RecordingSimulator(Simulator):
         self.applied.append((self._now, running))
 
 
-def _run_recorded(policy, coflows, fabric, *, epochs, dynamics=(), **cfg_kw):
-    cfg = SimulationConfig(epochs=epochs, **cfg_kw)
-    sim = _RecordingSimulator(
+class _RecordingSimulator(_Recording, Simulator):
+    pass
+
+
+class _RecordingReference(_Recording, ReferenceSimulator):
+    pass
+
+
+def _run_recorded(policy, coflows, fabric, *, reference, dynamics=(),
+                  **cfg_kw):
+    cfg = SimulationConfig(**cfg_kw)
+    cls = _RecordingReference if reference else _RecordingSimulator
+    sim = cls(
         fabric, make_scheduler(policy, cfg), cfg, dynamics=list(dynamics)
     )
     result = sim.run(clone_coflows(coflows))
@@ -76,10 +89,12 @@ def test_diffed_apply_matches_full_running_sets(policy, sync_ms):
     fabric = spec.make_fabric()
     coflows = WorkloadGenerator(spec, seed=23).generate_coflows(fabric)
     res_e, applied_e = _run_recorded(
-        policy, coflows, fabric, epochs=True, sync_interval=sync_ms * 1e-3
+        policy, coflows, fabric, reference=False,
+        sync_interval=sync_ms * 1e-3,
     )
     res_f, applied_f = _run_recorded(
-        policy, coflows, fabric, epochs=False, sync_interval=sync_ms * 1e-3
+        policy, coflows, fabric, reference=True,
+        sync_interval=sync_ms * 1e-3,
     )
     _assert_same_result(res_e, res_f, f"({policy}, delta={sync_ms}ms)")
     assert applied_e == applied_f, (
@@ -91,7 +106,7 @@ def test_diffed_apply_matches_full_running_sets(policy, sync_ms):
 def test_rate_perturbation_equivalent(policy):
     """A rate-perturbation hook rewrites every rate per application, so the
     engine must fall back to full applications — and still agree with the
-    pre-epoch engine exactly."""
+    reference engine exactly."""
     spec = fb_like_spec(num_machines=12, num_coflows=30)
     fabric = spec.make_fabric()
     coflows = WorkloadGenerator(spec, seed=29).generate_coflows(fabric)
@@ -101,9 +116,9 @@ def test_rate_perturbation_equivalent(policy):
         return rate * (0.9 + 0.05 * (flow.flow_id % 3))
 
     results = []
-    for epochs in (True, False):
-        cfg = SimulationConfig(epochs=epochs)
-        results.append(run_policy(
+    for run in (run_policy, run_reference):
+        cfg = SimulationConfig()
+        results.append(run(
             make_scheduler(policy, cfg), clone_coflows(coflows), fabric, cfg,
             rate_perturbation=perturb,
         ))
@@ -125,11 +140,11 @@ def test_dynamics_rebuild_equivalent(policy):
         PortRecovery(time=0.6, port=2),
     ]
     res_e, applied_e = _run_recorded(
-        policy, coflows, fabric, epochs=True, dynamics=dynamics,
+        policy, coflows, fabric, reference=False, dynamics=dynamics,
         sync_interval=8e-3,
     )
     res_f, applied_f = _run_recorded(
-        policy, coflows, fabric, epochs=False, dynamics=dynamics,
+        policy, coflows, fabric, reference=True, dynamics=dynamics,
         sync_interval=8e-3,
     )
     _assert_same_result(res_e, res_f, f"({policy}, dynamics)")
@@ -149,9 +164,9 @@ def test_zero_volume_arrivals_equivalent():
     ]
     for policy in ("saath", "aalo", "uc-tcp"):
         results = []
-        for epochs in (True, False):
-            cfg = SimulationConfig(epochs=epochs)
-            results.append(run_policy(
+        for run in (run_policy, run_reference):
+            cfg = SimulationConfig()
+            results.append(run(
                 make_scheduler(policy, cfg), clone_coflows(coflows), fabric,
                 cfg,
             ))
@@ -176,9 +191,9 @@ def test_dag_multi_dependency_release_order():
     coflows = [root_a, root_b, early, joint]
     for policy in ("saath", "aalo"):
         results = []
-        for epochs in (True, False):
-            cfg = SimulationConfig(epochs=epochs)
-            results.append(run_policy(
+        for run in (run_policy, run_reference):
+            cfg = SimulationConfig()
+            results.append(run(
                 make_scheduler(policy, cfg), clone_coflows(coflows), fabric,
                 cfg,
             ))
@@ -188,7 +203,7 @@ def test_dag_multi_dependency_release_order():
 
 
 def _hand_simulator(num_machines=2, **cfg_kw):
-    cfg = SimulationConfig(epochs=True, **cfg_kw)
+    cfg = SimulationConfig(**cfg_kw)
     fabric = Fabric(num_machines=num_machines, port_rate=1e3)
     sim = Simulator(fabric, make_scheduler("uc-tcp", cfg), cfg)
     return sim, fabric
@@ -270,6 +285,32 @@ def test_high_churn_goes_cold_and_recovers():
     assert sim._seed_pending
     assert sim._earliest_completion() == 1e3 / 2.0
     assert sim._heap_live and len(sim._heap) == 4
+
+
+def test_fastcore_kernels_require_a_dict_running_set():
+    """The running set is always a row-keyed dict; the compiled kernels
+    refuse any other container instead of walking it."""
+    if not _fastcore.AVAILABLE:
+        pytest.skip("repro._fastcore extension not built")
+    sim, fabric = _hand_simulator()
+    coflow = make_coflow(1, 0.0, [(0, fabric.receiver_port(1), 100.0)],
+                         flow_id_start=0)
+    sim._activate(coflow)
+    sim._apply_allocation(Allocation(rates={0: 10.0}))
+    t = sim._table
+    rows = list(sim._running)
+    core = _fastcore.core
+    with pytest.raises(TypeError, match="must be a dict"):
+        core.advance_running(rows, t.volume, t.bytes_sent, t.rate, 1.0)
+    with pytest.raises(TypeError, match="must be a dict"):
+        core.advance_collect(rows, t.volume, t.bytes_sent, t.rate,
+                             t.finish_time, 1.0, 1e-6, [])
+    with pytest.raises(TypeError, match="must be a dict"):
+        core.scan_candidates(rows, t.volume, t.bytes_sent, t.rate,
+                             t.finish_time, 1e-6)
+    with pytest.raises(TypeError, match="must be a dict"):
+        core.scan_completions(rows, t.volume, t.bytes_sent, t.rate,
+                              t.finish_time, t.epoch, 1e-6, 0.0, False, [])
 
 
 def test_simulation_result_lookup_index():

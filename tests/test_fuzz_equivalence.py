@@ -1,14 +1,16 @@
 """Randomized engine-path equivalence fuzz.
 
 The fixed-workload equivalence suite (tests/test_incremental.py,
-tests/test_epochs.py) pins the triple-path invariant on curated inputs;
-this module hammers it with ~20 seeded random small workloads mixing
-staggered arrivals, DAG dependencies, zero-byte flows and delayed data
-availability. For every registered scheduler the engine paths —
+tests/test_epochs.py) pins the engine against its full-recompute oracle on
+curated inputs; this module hammers it with ~20 seeded random small
+workloads mixing staggered arrivals, DAG dependencies, zero-byte flows and
+delayed data availability. For every registered scheduler the engine
+paths —
 
-* ``epochs`` (allocation-epoch engine, the default),
-* ``--no-epochs`` (pre-epoch incremental engine),
-* ``--no-incremental`` (full-recompute scheduling),
+* ``production`` (the incremental allocation-epoch engine),
+* ``reference`` (:mod:`repro.testing.reference`: every round a full
+  round — fresh ledger, rebuilt scheduler caches, whole allocation
+  applied, completions found by scan),
 * ``stream`` (the same workload pulled lazily through a generator-backed
   :class:`~repro.simulator.scenario.Scenario`),
 * ``resumed`` (every 5th seed: pause mid-run, ``snapshot()``,
@@ -67,6 +69,7 @@ from repro.simulator.ratealloc import (
 )
 from repro.simulator.state import FlowTable
 from repro.simulator.topology import BigSwitchTopology, LeafSpineTopology, PathMap
+from repro.testing.reference import run_reference
 
 NUM_WORKLOADS = 20
 
@@ -127,13 +130,12 @@ def fingerprint(result) -> tuple:
 
 
 ENGINE_PATHS = (
-    ("epochs", dict(epochs=True, incremental=True)),
-    ("no-epochs", dict(epochs=False, incremental=True)),
-    ("no-incremental", dict(epochs=False, incremental=False)),
-    # Seventh engine path: compiled kernels forced off. The other paths
-    # run with the default ``fastcore=True``, so whenever the extension
-    # is built this leg pins C-vs-Python bitwise on every seed/policy.
-    ("no-fastcore", dict(epochs=True, incremental=True, fastcore=False)),
+    ("production", run_policy, {}),
+    ("reference", run_reference, {}),
+    # Compiled kernels forced off. The other paths run with the default
+    # ``fastcore=True``, so whenever the extension is built this leg pins
+    # C-vs-Python bitwise on every seed/policy.
+    ("no-fastcore", run_policy, dict(fastcore=False)),
 )
 
 
@@ -141,21 +143,21 @@ def assert_engine_paths_identical(policy, fabric, coflows, seed, *,
                                   deep_paths, pause_at=0.3, label=""):
     """Run ``coflows`` under every engine path and pin byte-identity.
 
-    Always: epochs / no-epochs / no-incremental / no-fastcore / stream.
+    Always: production / reference / no-fastcore / stream.
     With ``deep_paths`` (deep copies are not free, so callers sample):
     also snapshot-resume and the single-rack leaf-spine topology (which
     exercises the :class:`LinkLedger` fallback of the fastcore dispatch).
     """
     prints = {}
-    for path_name, cfg_kw in ENGINE_PATHS:
+    for path_name, run, cfg_kw in ENGINE_PATHS:
         cfg = SimulationConfig(sync_interval=8e-3, **cfg_kw)
-        result = run_policy(
+        result = run(
             make_scheduler(policy, cfg), clone_coflows(coflows),
             fabric, cfg,
         )
         prints[path_name] = fingerprint(result)
-    # Fourth path: the same workload fed lazily through a generator-
-    # backed scenario stream (the session kernel's open-loop input).
+    # The same workload fed lazily through a generator-backed scenario
+    # stream (the session kernel's open-loop input).
     cfg = SimulationConfig(sync_interval=8e-3)
     ordered = sorted(coflows, key=lambda c: c.arrival_time)
     prints["stream"] = fingerprint(run_scenario(
@@ -166,7 +168,7 @@ def assert_engine_paths_identical(policy, fabric, coflows, seed, *,
         ),
         fabric, cfg,
     ))
-    # Fifth path: pause mid-run, checkpoint, resume from the snapshot.
+    # Pause mid-run, checkpoint, resume from the snapshot.
     if deep_paths:
         session = SimulationSession(
             fabric, make_scheduler(policy, cfg), cfg,
@@ -177,10 +179,10 @@ def assert_engine_paths_identical(policy, fabric, coflows, seed, *,
         prints["resumed"] = fingerprint(
             SimulationSession.restore(snap).run()
         )
-        # Sixth path: a single-rack leaf-spine topology. Core links
-        # exist (path-aware machinery fully engaged: LinkLedger,
-        # link counts, *_paths allocators) but every flow is
-        # rack-local, so nothing may change byte-for-byte.
+        # A single-rack leaf-spine topology. Core links exist
+        # (path-aware machinery fully engaged: LinkLedger, link counts,
+        # *_paths allocators) but every flow is rack-local, so nothing
+        # may change byte-for-byte.
         prints["leaf-spine"] = fingerprint(run_policy(
             make_scheduler(policy, cfg), clone_coflows(coflows),
             fabric, cfg,
@@ -188,10 +190,10 @@ def assert_engine_paths_identical(policy, fabric, coflows, seed, *,
                 fabric, racks=1, spines=2, oversub=1.0
             ),
         ))
-    reference = prints["epochs"]
-    assert all(p == reference for p in prints.values()), (
+    expected = prints["production"]
+    assert all(p == expected for p in prints.values()), (
         f"engine paths diverged: policy={policy} seed={seed} {label}"
-        f"({[k for k, p in prints.items() if p != reference]})"
+        f"({[k for k, p in prints.items() if p != expected]})"
     )
 
 
@@ -238,7 +240,7 @@ def random_collective_workload(seed: int):
 @pytest.mark.parametrize("policy", available_policies())
 def test_random_collective_workloads_six_paths_identical(policy):
     """Seeded random training jobs (collective DAG chains) must be
-    byte-identical across all six engine paths, like every other source."""
+    byte-identical across every engine path, like every other source."""
     for seed in range(NUM_COLLECTIVE_WORKLOADS):
         fabric, coflows = random_collective_workload(seed)
         assert_engine_paths_identical(

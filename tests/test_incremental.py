@@ -1,19 +1,24 @@
-"""Equivalence tests: incremental vs full-recompute scheduling paths.
+"""Equivalence tests: the incremental engine vs its full-recompute oracle.
 
 The incremental core (dirty-set deltas, the contention tracker, reusable
-ledgers, restricted queue refreshes) is designed to be *exactly* equivalent
-to rebuilding everything each round. These tests assert that equivalence —
+ledgers, restricted queue refreshes, rate-diff epochs) is designed to be
+*exactly* equivalent to rebuilding everything each round, which is what
+:mod:`repro.testing.reference` does. These tests assert that equivalence —
 identical ``SimulationResult``s, not merely statistically close ones — for
 every registered scheduler, on the paper's toy scenarios, on a synthetic
-trace, and under dynamics / DAG / availability edge cases.
+trace, and under dynamics / DAG / availability edge cases, and check the
+incremental bookkeeping itself round by round.
 """
 
 from __future__ import annotations
+
+import math
 
 import pytest
 
 from repro.config import QueueConfig, SimulationConfig
 from repro.core.contention import ContentionTracker, contention_counts
+from repro.core.saath import SaathScheduler
 from repro.experiments.toy import ALL_SCENARIOS, PORT_RATE, UNIT_BYTES
 from repro.rng import make_rng
 from repro.schedulers.registry import available_policies, make_scheduler
@@ -27,6 +32,7 @@ from repro.simulator.dynamics import (
 from repro.simulator.engine import run_policy
 from repro.simulator.fabric import Fabric
 from repro.simulator.flows import clone_coflows, make_coflow
+from repro.testing.reference import run_reference
 from repro.workloads.synthetic import WorkloadGenerator, fb_like_spec
 
 
@@ -41,24 +47,17 @@ def _toy_config(**kw) -> dict:
     return base
 
 
-#: The scheduling/engine paths that must produce byte-identical results:
-#: the allocation-epoch engine (the default), the pre-epoch incremental
-#: path, the full-recompute path (``--no-incremental``), and the
-#: CLI-reachable epoch-engine-over-full-recompute pairing.
-_PATHS = (
-    dict(epochs=True, incremental=True),
-    dict(epochs=False, incremental=True),
-    dict(epochs=False, incremental=False),
-    dict(epochs=True, incremental=False),
-)
+#: The engines that must produce byte-identical results: production and
+#: the full-recompute reference.
+_PATHS = (run_policy, run_reference)
 
 
 def _run_both(policy, coflows, fabric, *, dynamics=(), **cfg_kw):
-    """Run a policy over every engine/scheduler path; return all results."""
+    """Run a policy on both engines; return both results."""
     results = []
-    for path in _PATHS:
-        cfg = SimulationConfig(**path, **cfg_kw)
-        result = run_policy(
+    for run in _PATHS:
+        cfg = SimulationConfig(**cfg_kw)
+        result = run(
             make_scheduler(policy, cfg), clone_coflows(coflows), fabric, cfg,
             dynamics=list(dynamics),
         )
@@ -165,16 +164,82 @@ def test_dag_release_equivalent():
         _assert_identical(*results, context=f"({policy}, DAG)")
 
 
-def test_validate_incremental_mode_passes():
-    """The built-in equivalence assertion stays silent on a clean run."""
+class _CheckedSaath(SaathScheduler):
+    """Saath that checks its incremental contention counts against a full
+    recompute (:func:`contention_counts`) every round."""
+
+    checked = 0
+
+    def _contention_counts(self, state, incremental, queue_moves):
+        counts = super()._contention_counts(state, incremental, queue_moves)
+        queue_of = None
+        if self.config.contention_scope == "queue":
+            queue_of = {
+                c.coflow_id: self.tracker.queue_of(c)
+                for c in state.active_coflows
+            }
+        full = contention_counts(
+            state.active_coflows, scope=self.config.contention_scope,
+            queue_of=queue_of,
+        )
+        assert counts == full, "contention diverged from full recompute"
+        self.checked += 1
+        return counts
+
+
+@pytest.mark.parametrize("scope", ["all", "queue"])
+def test_saath_contention_matches_full_recompute_every_round(scope):
+    """The contention tracker agrees with a full recount on every round."""
     spec = fb_like_spec(num_machines=12, num_coflows=30)
     fabric = spec.make_fabric()
     coflows = WorkloadGenerator(spec, seed=21).generate_coflows(fabric)
-    cfg = SimulationConfig(incremental=True, validate_incremental=True)
-    result = run_policy(
-        make_scheduler("saath", cfg), clone_coflows(coflows), fabric, cfg
-    )
-    assert result.coflows  # ran to completion with assertions enabled
+    cfg = SimulationConfig(contention_scope=scope,
+                           enable_dynamics_promotion=True)
+    scheduler = _CheckedSaath(cfg)
+    result = run_policy(scheduler, clone_coflows(coflows), fabric, cfg)
+    assert len(result.coflows) == len(coflows)
+    assert scheduler.checked == result.reschedules
+
+
+class _IdleCoflowsStayPut:
+    """Observer: every active coflow that got no rate this round has an
+    infinite queue-transition time — so ``next_wakeup`` may skip it."""
+
+    def __init__(self):
+        self.scheduler = None
+        self.idle_checked = 0
+
+    def bind_scheduler(self, scheduler):
+        self.scheduler = scheduler
+
+    def on_schedule(self, state, allocation, now):
+        granted = (allocation.scheduled_coflows
+                   | allocation.work_conserved_coflows)
+        for coflow in state.active_coflows:
+            if coflow.coflow_id in granted:
+                continue
+            dt = self.scheduler.tracker.next_transition_time(
+                coflow, allocation.rates,
+                pending_rows=state.pending_rows(coflow),
+            )
+            assert dt == math.inf, (
+                f"coflow {coflow.coflow_id} got no rate but would change "
+                f"queue in {dt}s (t={now})"
+            )
+            self.idle_checked += 1
+
+
+@pytest.mark.parametrize("policy", ["saath", "aalo"])
+@pytest.mark.parametrize("sync_ms", [0.0, 8.0])
+def test_wakeup_candidates_cover_every_transition(policy, sync_ms):
+    spec = fb_like_spec(num_machines=12, num_coflows=30)
+    fabric = spec.make_fabric()
+    coflows = WorkloadGenerator(spec, seed=21).generate_coflows(fabric)
+    cfg = SimulationConfig(sync_interval=sync_ms * 1e-3)
+    observer = _IdleCoflowsStayPut()
+    run_policy(make_scheduler(policy, cfg), clone_coflows(coflows), fabric,
+               cfg, observer=observer)
+    assert observer.idle_checked > 0
 
 
 def test_contention_tracker_matches_full_recompute():
