@@ -2,8 +2,10 @@
 
 The extension module (``repro._fastcore._core``, built from ``fastcore.c``)
 re-implements the progressive-fill / fused-allocation kernels of
-:mod:`repro.simulator.ratealloc` and the inner loops of
-:mod:`repro.simulator.session` with the same IEEE-754 operations in the same
+:mod:`repro.simulator.ratealloc` (including ``saath_round``, Saath's whole
+big-switch admission round, twin of ``ratealloc.saath_round_rows``), the
+inner loops of :mod:`repro.simulator.session` and the round cores of the
+Aalo and UC-TCP schedulers with the same IEEE-754 operations in the same
 order, so results are **bitwise identical** to the pure-Python rows path —
 asserted by the fuzz firewall (``tests/test_fuzz_equivalence.py``).
 

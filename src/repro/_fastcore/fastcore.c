@@ -685,74 +685,75 @@ done:
     return rates;
 }
 
-/* equal_rate_rows(rows, ft, src, dst, fid, lcap, lused, touched,
- *                 port_counts) -> dict[int, float]
- *   (equal_rate_for_coflow_rows twin; port_counts is a dict or None) */
-static PyObject *
-equal_rate_rows(PyObject *self, PyObject *args)
+/* ---- equal-rate / greedy-fill helpers -----------------------------------
+ * The bodies of equal_rate_for_coflow_rows and greedy_residual_rates_rows
+ * over already-acquired columns.  saath_round calls equal_rate_fill once
+ * per admitted coflow and greedy_fill for its work-conservation walk;
+ * greedy_rows wraps greedy_fill for the other work-conserving policies. */
+
+typedef struct {
+    PyObject *ft;            /* finish_time list (borrowed) */
+    int64_t *src, *dst, *fid, *cid;
+    Py_ssize_t ncols;
+    double *lcap, *lused;
+    Py_ssize_t nports;
+    PyObject *touched;       /* PortLedger.touched_set (borrowed) */
+} rowcols;
+
+static int
+check_ft(PyObject *ft, Py_ssize_t ncols)
 {
-    PyObject *rows_o, *ft, *src_o, *dst_o, *fid_o;
-    PyObject *lcap_o, *lused_o, *touched, *port_counts;
-    if (!PyArg_ParseTuple(args, "OOOOOOOOO", &rows_o, &ft, &src_o, &dst_o,
-                          &fid_o, &lcap_o, &lused_o, &touched, &port_counts))
-        return NULL;
     if (!PyList_CheckExact(ft)) {
         PyErr_SetString(PyExc_TypeError,
                         "fastcore: finish_time must be a list");
-        return NULL;
+        return -1;
     }
-    if (port_counts != Py_None && !PyDict_Check(port_counts)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "fastcore: port_counts must be a dict or None");
-        return NULL;
-    }
-
-    bufs B = {.n = 0};
-    PyObject *fast = NULL, *rates = NULL;
-    Py_ssize_t *todo = NULL;
-    int64_t *counts = NULL;
-
-    Py_ssize_t ncols, nports;
-    int64_t *src = bufs_get(&B, src_o, 'q', &ncols, "table.src");
-    int64_t *dst = src ? bufs_get(&B, dst_o, 'q', NULL, "table.dst") : NULL;
-    int64_t *fid = dst ? bufs_get(&B, fid_o, 'q', NULL, "table.flow_id")
-                       : NULL;
-    double *lcap = fid ? bufs_get(&B, lcap_o, 'd', &nports, "capacity_list")
-                       : NULL;
-    double *lused = lcap ? bufs_get(&B, lused_o, 'd', NULL, "used_list")
-                         : NULL;
-    if (lused == NULL)
-        goto fail;
     if (PyList_GET_SIZE(ft) < ncols) {
         PyErr_SetString(PyExc_ValueError,
                         "fastcore: finish_time shorter than table columns");
-        goto fail;
+        return -1;
     }
+    return 0;
+}
 
-    fast = PySequence_Fast(rows_o, "fastcore: rows must be a sequence");
-    if (fast == NULL)
-        goto fail;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
-    PyObject **items = PySequence_Fast_ITEMS(fast);
-
-    todo = PyMem_New(Py_ssize_t, n > 0 ? n : 1);
-    if (todo == NULL) {
-        PyErr_NoMemory();
-        goto fail;
+static int
+check_port_counts(PyObject *port_counts)
+{
+    if (port_counts != Py_None && !PyDict_Check(port_counts)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "fastcore: port_counts must be a dict or None");
+        return -1;
     }
+    return 0;
+}
+
+/* Equal rate of one coflow's `rows` (n items): keep the unfinished rows in
+ * `todo` (n slots), take the min per-port cap over `port_counts` (a dict)
+ * or over a recount in `counts` (nports zeroed slots, zeroed again before
+ * returning), commit the rate on every todo row, then set fid -> rate in
+ * `rates` in row order.  Committing before inserting leaves `rates`
+ * untouched when a commit raises, as the Python twin's local dict is.
+ * Returns the number of rates set (0: no unfinished row or a zero rate),
+ * -1 on error. */
+static Py_ssize_t
+equal_rate_fill(const rowcols *X, PyObject **items, Py_ssize_t n,
+                PyObject *port_counts, Py_ssize_t *todo, int64_t *counts,
+                PyObject *rates)
+{
     Py_ssize_t nt = 0;
     for (Py_ssize_t k = 0; k < n; k++) {
-        Py_ssize_t i = as_row(items[k], ncols, "rows");
+        Py_ssize_t i = as_row(items[k], X->ncols, "rows");
         if (i < 0)
-            goto fail;
-        if (PyList_GET_ITEM(ft, i) == Py_None)
+            return -1;
+        if (PyList_GET_ITEM(X->ft, i) == Py_None)
             todo[nt++] = i;
     }
-    if (nt == 0) {
-        rates = PyDict_New();
-        goto done;
-    }
+    if (nt == 0)
+        return 0;
 
+    const double *lcap = X->lcap;
+    double *lused = X->lused;
+    const int64_t *src = X->src, *dst = X->dst;
     double rate = INFINITY;
     if (port_counts != Py_None) {
         Py_ssize_t pos = 0;
@@ -760,14 +761,14 @@ equal_rate_rows(PyObject *self, PyObject *args)
         while (PyDict_Next(port_counts, &pos, &k, &v)) {
             long long port = PyLong_AsLongLong(k);
             if (port == -1 && PyErr_Occurred())
-                goto fail;
+                return -1;
             long long count = PyLong_AsLongLong(v);
             if (count == -1 && PyErr_Occurred())
-                goto fail;
-            if (port < 0 || port >= nports) {
+                return -1;
+            if (port < 0 || port >= X->nports) {
                 PyErr_Format(PyExc_IndexError,
                              "fastcore: port %lld out of range", port);
-                goto fail;
+                return -1;
             }
             double r = lcap[port] - lused[port];
             double cap = (r >= 0.0 ? r : 0.0) / (double)count;
@@ -776,20 +777,17 @@ equal_rate_rows(PyObject *self, PyObject *args)
         }
     }
     else {
-        counts = PyMem_New(int64_t, nports > 0 ? nports : 1);
-        if (counts == NULL) {
-            PyErr_NoMemory();
-            goto fail;
-        }
-        memset(counts, 0, (size_t)(nports > 0 ? nports : 1)
-                              * sizeof(int64_t));
         for (Py_ssize_t t = 0; t < nt; t++) {
             Py_ssize_t i = todo[t];
             int64_t s = src[i], d = dst[i];
-            if (s < 0 || s >= nports || d < 0 || d >= nports) {
+            if (s < 0 || s >= X->nports || d < 0 || d >= X->nports) {
+                for (Py_ssize_t u = 0; u < t; u++) {
+                    counts[src[todo[u]]] = 0;
+                    counts[dst[todo[u]]] = 0;
+                }
                 PyErr_SetString(PyExc_IndexError,
                                 "fastcore: port out of range");
-                goto fail;
+                return -1;
             }
             counts[s]++;
             counts[d]++;
@@ -809,107 +807,57 @@ equal_rate_rows(PyObject *self, PyObject *args)
             if (cap_dst < rate)
                 rate = cap_dst;
         }
+        for (Py_ssize_t t = 0; t < nt; t++) {
+            counts[src[todo[t]]] = 0;
+            counts[dst[todo[t]]] = 0;
+        }
     }
-    if (!isfinite(rate) || rate <= 0.0) {
-        rates = PyDict_New();
-        goto done;
-    }
+    if (!isfinite(rate) || rate <= 0.0)
+        return 0;
 
-    rates = PyDict_New();
-    if (rates == NULL)
-        goto fail;
-    PyObject *rate_obj = PyFloat_FromDouble(rate);
-    if (rate_obj == NULL)
-        goto fail;
     for (Py_ssize_t t = 0; t < nt; t++) {
         Py_ssize_t i = todo[t];
-        PyObject *key = PyLong_FromLongLong((long long)fid[i]);
+        if (ledger_commit(X->lcap, lused, X->touched, src[i], dst[i], rate)
+            < 0)
+            return -1;
+    }
+    PyObject *rate_obj = PyFloat_FromDouble(rate);
+    if (rate_obj == NULL)
+        return -1;
+    for (Py_ssize_t t = 0; t < nt; t++) {
+        PyObject *key = PyLong_FromLongLong((long long)X->fid[todo[t]]);
         int r = key ? PyDict_SetItem(rates, key, rate_obj) : -1;
         Py_XDECREF(key);
         if (r < 0) {
             Py_DECREF(rate_obj);
-            goto fail;
-        }
-        if (ledger_commit(lcap, lused, touched, src[i], dst[i], rate) < 0) {
-            Py_DECREF(rate_obj);
-            goto fail;
+            return -1;
         }
     }
     Py_DECREF(rate_obj);
-    goto done;
-
-fail:
-    Py_CLEAR(rates);
-done:
-    PyMem_Free(todo);
-    PyMem_Free(counts);
-    Py_XDECREF(fast);
-    bufs_release(&B);
-    return rates;
+    return nt;
 }
 
-/* greedy_rows(rows, ft, fid, src, dst, lcap, lused, touched)
- *   -> dict[int, float]    (greedy_residual_rates_rows twin) */
-static PyObject *
-greedy_rows(PyObject *self, PyObject *args)
+/* Work-conservation walk over `rows` (n items), continuing the caller's
+ * `dead` port flags (nports slots): each unfinished row on two live ports
+ * gets min(sender, receiver) residual into `rates`.  When `granted` is not
+ * NULL the coflow id (X->cid) of every granted row is added to it, in row
+ * order.  Returns 0, or -1 on error. */
+static int
+greedy_fill(const rowcols *X, PyObject **items, Py_ssize_t n, char *dead,
+            PyObject *rates, PyObject *granted)
 {
-    PyObject *rows_o, *ft, *fid_o, *src_o, *dst_o;
-    PyObject *lcap_o, *lused_o, *touched;
-    if (!PyArg_ParseTuple(args, "OOOOOOOO", &rows_o, &ft, &fid_o, &src_o,
-                          &dst_o, &lcap_o, &lused_o, &touched))
-        return NULL;
-    if (!PyList_CheckExact(ft)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "fastcore: finish_time must be a list");
-        return NULL;
-    }
-
-    bufs B = {.n = 0};
-    PyObject *fast = NULL, *rates = NULL;
-    char *dead = NULL;
-
-    Py_ssize_t ncols, nports;
-    int64_t *fid = bufs_get(&B, fid_o, 'q', &ncols, "table.flow_id");
-    int64_t *src = fid ? bufs_get(&B, src_o, 'q', NULL, "table.src") : NULL;
-    int64_t *dst = src ? bufs_get(&B, dst_o, 'q', NULL, "table.dst") : NULL;
-    double *lcap = dst ? bufs_get(&B, lcap_o, 'd', &nports, "capacity_list")
-                       : NULL;
-    double *lused = lcap ? bufs_get(&B, lused_o, 'd', NULL, "used_list")
-                         : NULL;
-    if (lused == NULL)
-        goto fail;
-    if (PyList_GET_SIZE(ft) < ncols) {
-        PyErr_SetString(PyExc_ValueError,
-                        "fastcore: finish_time shorter than table columns");
-        goto fail;
-    }
-
-    fast = PySequence_Fast(rows_o, "fastcore: rows must be a sequence");
-    if (fast == NULL)
-        goto fail;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
-    PyObject **items = PySequence_Fast_ITEMS(fast);
-
-    dead = PyMem_New(char, nports > 0 ? nports : 1);
-    if (dead == NULL) {
-        PyErr_NoMemory();
-        goto fail;
-    }
-    memset(dead, 0, (size_t)(nports > 0 ? nports : 1));
-
-    rates = PyDict_New();
-    if (rates == NULL)
-        goto fail;
+    const double *lcap = X->lcap;
+    double *lused = X->lused;
     for (Py_ssize_t k = 0; k < n; k++) {
-        Py_ssize_t i = as_row(items[k], ncols, "rows");
+        Py_ssize_t i = as_row(items[k], X->ncols, "rows");
         if (i < 0)
-            goto fail;
-        if (PyList_GET_ITEM(ft, i) != Py_None)
+            return -1;
+        if (PyList_GET_ITEM(X->ft, i) != Py_None)
             continue;
-        int64_t s = src[i], d = dst[i];
-        if (s < 0 || s >= nports || d < 0 || d >= nports) {
+        int64_t s = X->src[i], d = X->dst[i];
+        if (s < 0 || s >= X->nports || d < 0 || d >= X->nports) {
             PyErr_SetString(PyExc_IndexError, "fastcore: port out of range");
-            goto fail;
+            return -1;
         }
         if (dead[s] || dead[d])
             continue;
@@ -920,15 +868,18 @@ greedy_rows(PyObject *self, PyObject *args)
         if (rate > 0.0) {
             lused[s] += rate;
             lused[d] += rate;
-            if (set_add_port(touched, s) < 0 || set_add_port(touched, d) < 0)
-                goto fail;
-            PyObject *key = PyLong_FromLongLong((long long)fid[i]);
+            if (set_add_port(X->touched, s) < 0
+                || set_add_port(X->touched, d) < 0)
+                return -1;
+            PyObject *key = PyLong_FromLongLong((long long)X->fid[i]);
             PyObject *val = key ? PyFloat_FromDouble(rate) : NULL;
             int r = val ? PyDict_SetItem(rates, key, val) : -1;
             Py_XDECREF(key);
             Py_XDECREF(val);
             if (r < 0)
-                goto fail;
+                return -1;
+            if (granted != NULL && set_add_port(granted, X->cid[i]) < 0)
+                return -1;
         }
         else {
             if (lcap[s] - lused[s] <= 0.0)
@@ -937,6 +888,47 @@ greedy_rows(PyObject *self, PyObject *args)
                 dead[d] = 1;
         }
     }
+    return 0;
+}
+
+/* greedy_rows(rows, ft, fid, src, dst, lcap, lused, touched)
+ *   -> dict[int, float]    (greedy_residual_rates_rows twin) */
+static PyObject *
+greedy_rows(PyObject *self, PyObject *args)
+{
+    PyObject *rows_o, *fid_o, *src_o, *dst_o, *lcap_o, *lused_o;
+    rowcols X = {0};
+    if (!PyArg_ParseTuple(args, "OOOOOOOO", &rows_o, &X.ft, &fid_o, &src_o,
+                          &dst_o, &lcap_o, &lused_o, &X.touched))
+        return NULL;
+
+    bufs B = {.n = 0};
+    PyObject *fast = NULL, *rates = NULL;
+    char *dead = NULL;
+
+    X.fid = bufs_get(&B, fid_o, 'q', &X.ncols, "table.flow_id");
+    X.src = X.fid ? bufs_get(&B, src_o, 'q', NULL, "table.src") : NULL;
+    X.dst = X.src ? bufs_get(&B, dst_o, 'q', NULL, "table.dst") : NULL;
+    X.lcap = X.dst ? bufs_get(&B, lcap_o, 'd', &X.nports, "capacity_list")
+                   : NULL;
+    X.lused = X.lcap ? bufs_get(&B, lused_o, 'd', NULL, "used_list") : NULL;
+    if (X.lused == NULL || check_ft(X.ft, X.ncols) < 0)
+        goto fail;
+
+    fast = PySequence_Fast(rows_o, "fastcore: rows must be a sequence");
+    if (fast == NULL)
+        goto fail;
+    dead = PyMem_Calloc(X.nports > 0 ? X.nports : 1, 1);
+    if (dead == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    rates = PyDict_New();
+    if (rates == NULL
+        || greedy_fill(&X, PySequence_Fast_ITEMS(fast),
+                       PySequence_Fast_GET_SIZE(fast), dead, rates,
+                       NULL) < 0)
+        goto fail;
     goto done;
 
 fail:
@@ -946,6 +938,192 @@ done:
     Py_XDECREF(fast);
     bufs_release(&B);
     return rates;
+}
+
+/* saath_round(ids, groups, group_counts, ft, src, dst, fid, cid, lcap,
+ *             lused, touched, min_rate, work_conservation, rates,
+ *             scheduled, work_conserved) -> (equal_rate_calls, greedy_calls)
+ *
+ * saath_round_rows twin: Saath's big-switch admission round.  Group k is
+ * coflow ids[k]'s schedulable rows with its port counts (a dict, or None
+ * to recount).  In order, each non-empty group passes all-or-none
+ * admission when every port it touches has residual >= min_rate; an
+ * admitted group's equal rate (equal_rate_fill) lands in `rates` and its
+ * id in `scheduled`.  The other non-empty groups are then filled, in order,
+ * by one greedy_fill walk whose granted coflow ids are unioned into
+ * `work_conserved`.  Returns how many equal-rate and greedy calls the
+ * round made, for the kernel counters. */
+static PyObject *
+saath_round(PyObject *self, PyObject *args)
+{
+    PyObject *ids, *groups, *group_counts;
+    PyObject *src_o, *dst_o, *fid_o, *cid_o, *lcap_o, *lused_o;
+    PyObject *rates, *scheduled, *work_conserved;
+    double min_rate;
+    int work_conservation;
+    rowcols X = {0};
+    if (!PyArg_ParseTuple(args, "OOOOOOOOOOOdpOOO", &ids, &groups,
+                          &group_counts, &X.ft, &src_o, &dst_o, &fid_o,
+                          &cid_o, &lcap_o, &lused_o, &X.touched, &min_rate,
+                          &work_conservation, &rates, &scheduled,
+                          &work_conserved))
+        return NULL;
+    if (!PyList_CheckExact(ids) || !PyList_CheckExact(groups)
+        || !PyList_CheckExact(group_counts)
+        || PyList_GET_SIZE(ids) != PyList_GET_SIZE(groups)
+        || PyList_GET_SIZE(groups) != PyList_GET_SIZE(group_counts)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "fastcore: ids, groups and group_counts must be "
+                        "lists of one length");
+        return NULL;
+    }
+    if (!PyDict_Check(rates) || !PySet_Check(scheduled)
+        || !PySet_Check(work_conserved)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "fastcore: rates must be a dict, scheduled and "
+                        "work_conserved sets");
+        return NULL;
+    }
+
+    bufs B = {.n = 0};
+    PyObject *result = NULL, *granted = NULL;
+    PyObject **fasts = NULL;
+    Py_ssize_t *todo = NULL, *missed = NULL;
+    int64_t *counts = NULL;
+    char *dead = NULL;
+    Py_ssize_t ngroups = PyList_GET_SIZE(groups), nfast = 0, nmissed = 0;
+    Py_ssize_t equal_calls = 0, greedy_calls = 0;
+
+    X.src = bufs_get(&B, src_o, 'q', &X.ncols, "table.src");
+    X.dst = X.src ? bufs_get(&B, dst_o, 'q', NULL, "table.dst") : NULL;
+    X.fid = X.dst ? bufs_get(&B, fid_o, 'q', NULL, "table.flow_id") : NULL;
+    X.cid = X.fid ? bufs_get(&B, cid_o, 'q', NULL, "table.coflow_id")
+                  : NULL;
+    X.lcap = X.cid ? bufs_get(&B, lcap_o, 'd', &X.nports, "capacity_list")
+                   : NULL;
+    X.lused = X.lcap ? bufs_get(&B, lused_o, 'd', NULL, "used_list") : NULL;
+    if (X.lused == NULL || check_ft(X.ft, X.ncols) < 0)
+        goto done;
+
+    Py_ssize_t slots = ngroups > 0 ? ngroups : 1;
+    Py_ssize_t pslots = X.nports > 0 ? X.nports : 1;
+    fasts = PyMem_New(PyObject *, slots);
+    missed = PyMem_New(Py_ssize_t, slots);
+    counts = PyMem_Calloc(pslots, sizeof(int64_t));
+    dead = PyMem_Calloc(pslots, 1);
+    if (fasts == NULL || missed == NULL || counts == NULL || dead == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    Py_ssize_t most = 1;
+    for (; nfast < ngroups; nfast++) {
+        if (check_port_counts(PyList_GET_ITEM(group_counts, nfast)) < 0)
+            goto done;
+        PyObject *f = PySequence_Fast(PyList_GET_ITEM(groups, nfast),
+                                      "fastcore: rows must be a sequence");
+        if (f == NULL)
+            goto done;
+        fasts[nfast] = f;
+        if (PySequence_Fast_GET_SIZE(f) > most)
+            most = PySequence_Fast_GET_SIZE(f);
+    }
+    todo = PyMem_New(Py_ssize_t, most);
+    if (todo == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+
+    const double *lcap = X.lcap;
+    const double *lused = X.lused;
+    for (Py_ssize_t g = 0; g < ngroups; g++) {
+        Py_ssize_t n = PySequence_Fast_GET_SIZE(fasts[g]);
+        if (n == 0)
+            continue;
+        PyObject **items = PySequence_Fast_ITEMS(fasts[g]);
+        PyObject *pc = PyList_GET_ITEM(group_counts, g);
+        /* all-or-none: residual(p) >= min_rate on every port touched
+         * (capacity - used, as the Python twin; min_rate > 0, so the
+         * residual's clamp at zero cannot change the comparison). */
+        int admissible = 1;
+        if (pc != Py_None) {
+            Py_ssize_t pos = 0;
+            PyObject *k, *v;
+            while (admissible && PyDict_Next(pc, &pos, &k, &v)) {
+                long long p = PyLong_AsLongLong(k);
+                if (p == -1 && PyErr_Occurred())
+                    goto done;
+                if (p < 0 || p >= X.nports) {
+                    PyErr_Format(PyExc_IndexError,
+                                 "fastcore: port %lld out of range", p);
+                    goto done;
+                }
+                if (lcap[p] - lused[p] < min_rate)
+                    admissible = 0;
+            }
+        }
+        else {
+            for (Py_ssize_t k = 0; admissible && k < n; k++) {
+                Py_ssize_t i = as_row(items[k], X.ncols, "rows");
+                if (i < 0)
+                    goto done;
+                int64_t s = X.src[i], d = X.dst[i];
+                if (s < 0 || s >= X.nports || d < 0 || d >= X.nports) {
+                    PyErr_SetString(PyExc_IndexError,
+                                    "fastcore: port out of range");
+                    goto done;
+                }
+                if (lcap[s] - lused[s] < min_rate
+                    || lcap[d] - lused[d] < min_rate)
+                    admissible = 0;
+            }
+        }
+        if (admissible) {
+            equal_calls++;
+            Py_ssize_t got = equal_rate_fill(&X, items, n, pc, todo, counts,
+                                             rates);
+            if (got < 0)
+                goto done;
+            if (got > 0) {
+                if (PySet_Add(scheduled, PyList_GET_ITEM(ids, g)) < 0)
+                    goto done;
+                continue;
+            }
+        }
+        missed[nmissed++] = g;
+    }
+
+    if (work_conservation && nmissed > 0) {
+        greedy_calls = 1;
+        granted = PySet_New(NULL);
+        if (granted == NULL)
+            goto done;
+        for (Py_ssize_t m = 0; m < nmissed; m++) {
+            PyObject *f = fasts[missed[m]];
+            if (greedy_fill(&X, PySequence_Fast_ITEMS(f),
+                            PySequence_Fast_GET_SIZE(f), dead, rates,
+                            granted) < 0)
+                goto done;
+        }
+        if (PySet_GET_SIZE(granted) > 0) {
+            PyObject *r = PyNumber_InPlaceOr(work_conserved, granted);
+            if (r == NULL)
+                goto done;
+            Py_DECREF(r);
+        }
+    }
+    result = Py_BuildValue("(nn)", equal_calls, greedy_calls);
+
+done:
+    Py_XDECREF(granted);
+    for (Py_ssize_t g = 0; g < nfast; g++)
+        Py_DECREF(fasts[g]);
+    PyMem_Free(fasts);
+    PyMem_Free(todo);
+    PyMem_Free(missed);
+    PyMem_Free(counts);
+    PyMem_Free(dead);
+    bufs_release(&B);
+    return result;
 }
 
 /* ======================================================================
@@ -2344,10 +2522,10 @@ static PyMethodDef fastcore_methods[] = {
      "Progressive-fill core of max_min_fair_rows_raw."},
     {"madd_rows", madd_rows, METH_VARARGS,
      "Fused single-pass core of madd_rates_rows."},
-    {"equal_rate_rows", equal_rate_rows, METH_VARARGS,
-     "Equal-rate core of equal_rate_for_coflow_rows."},
     {"greedy_rows", greedy_rows, METH_VARARGS,
      "Work-conservation fill core of greedy_residual_rates_rows."},
+    {"saath_round", saath_round, METH_VARARGS,
+     "Admission-round core of saath_round_rows (Saath, big switch)."},
     {"advance_running", advance_running, METH_VARARGS,
      "Branchless byte-accounting fast path of _advance_to."},
     {"advance_collect", advance_collect, METH_VARARGS,

@@ -89,16 +89,19 @@ class ContentionTracker:
     """Incrementally-maintained contention counts ``k_c``.
 
     Equivalent to calling :func:`contention_counts` every round, but driven
-    by the engine's :class:`~repro.simulator.state.SchedulingDelta`: the
-    port → occupants index is patched for arrived / completed / shrunk
-    coflows, and only coflows whose count can actually have changed (the
-    coflow itself plus the occupants of every port whose membership
-    changed) are recounted. In steady state one flow completion dirties a
-    handful of coflows instead of the whole active set.
+    by the engine's :class:`~repro.simulator.state.SchedulingDelta` through
+    a *pair-share index*: ``share[a][b]`` is the number of ports coflows
+    ``a`` and ``b`` both occupy (kept only while non-zero, symmetric), so
+    ``k_a`` is the number of keys of ``share[a]``. :meth:`add`,
+    :meth:`remove` and :meth:`refresh_ports` patch the index in
+    O(changed ports × occupants) and keep every scope-``"all"`` count
+    current as they go; :meth:`counts` unions no sets.
 
-    With ``scope="queue"`` the owner must report queue moves through
-    :meth:`note_queue_change` (a queue move changes which sharers count)
-    and pass the current ``queue_of`` mapping to :meth:`counts`.
+    With ``scope="queue"`` only the sharers in ``a``'s own queue count:
+    the owner must report queue moves through :meth:`note_queue_change`
+    and pass the current ``queue_of`` mapping to :meth:`counts`, which
+    re-filters ``share[a]`` for the coflows whose sharer set or queue
+    changed since the last call.
     """
 
     def __init__(self, scope: str = "all"):
@@ -109,9 +112,10 @@ class ContentionTracker:
         self._occupants: dict[int, set[int]] = {}
         #: coflow_id -> ports currently occupied.
         self._ports: dict[int, set[int]] = {}
-        self._coflows: dict[int, CoFlow] = {}
+        #: coflow_id -> {sharer id: ports shared}, entries > 0 only.
+        self._share: dict[int, dict[int, int]] = {}
         self._counts: dict[int, int] = {}
-        #: Coflow ids whose cached count may be stale.
+        #: Queue scope: coflow ids whose count must be re-filtered.
         self._dirty: set[int] = set()
 
     # ---- maintenance ------------------------------------------------------
@@ -120,14 +124,21 @@ class ContentionTracker:
         """Re-index from scratch (first round, or after a dynamics event)."""
         self._occupants.clear()
         self._ports.clear()
-        self._coflows.clear()
+        self._share.clear()
         self._counts.clear()
         self._dirty.clear()
         for c in coflows:
             self.add(c)
 
+    def _sharers_changed(self, cid: int, delta: int) -> None:
+        """``cid``'s sharer set changed, by ``delta`` sharers net."""
+        if self.scope == "all":
+            self._counts[cid] += delta
+        else:
+            self._dirty.add(cid)
+
     def add(self, coflow: CoFlow, *, ports: set[int] | None = None) -> None:
-        """Index a newly-active coflow.
+        """Index a newly-active coflow (not already indexed).
 
         ``ports`` optionally supplies the coflow's unfinished-flow port set
         (the cluster state's flow-group compaction cache) so the tracker
@@ -136,36 +147,41 @@ class ContentionTracker:
         if ports is None:
             ports = ports_in_use(coflow)
         cid = coflow.coflow_id
-        self._coflows[cid] = coflow
         self._ports[cid] = ports
+        mine: dict[int, int] = {}
         occupants = self._occupants
-        dirty = self._dirty
         for p in ports:
             members = occupants.get(p)
             if members is None:
                 occupants[p] = {cid}
-            else:
-                dirty |= members
-                members.add(cid)
-        dirty.add(cid)
+                continue
+            for b in members:
+                mine[b] = mine.get(b, 0) + 1
+            members.add(cid)
+        share = self._share
+        share[cid] = mine
+        for b, n in mine.items():
+            share[b][cid] = n
+            self._sharers_changed(b, 1)
+        self._counts[cid] = 0
+        self._sharers_changed(cid, len(mine))
 
     def remove(self, coflow_id: int) -> None:
         """Drop a completed coflow; no-op if it was never indexed."""
         ports = self._ports.pop(coflow_id, None)
         if ports is None:
             return
-        self._coflows.pop(coflow_id, None)
-        self._counts.pop(coflow_id, None)
+        share = self._share
+        for b in share.pop(coflow_id):
+            del share[b][coflow_id]
+            self._sharers_changed(b, -1)
+        del self._counts[coflow_id]
         self._dirty.discard(coflow_id)
         occupants = self._occupants
         for p in ports:
-            members = occupants.get(p)
-            if members is None:
-                continue
+            members = occupants[p]
             members.discard(coflow_id)
-            if members:
-                self._dirty |= members
-            else:
+            if not members:
                 del occupants[p]
 
     def refresh_ports(self, coflow: CoFlow, *,
@@ -184,66 +200,69 @@ class ContentionTracker:
         if new == old:
             return
         occupants = self._occupants
-        dirty = self._dirty
+        share = self._share
+        mine = share[cid]
+        before = len(mine)
         for p in old - new:
-            members = occupants.get(p)
-            if members is None:
-                continue
+            members = occupants[p]
             members.discard(cid)
-            if members:
-                dirty |= members
-            else:
+            if not members:
                 del occupants[p]
+                continue
+            for b in members:
+                n = mine[b] - 1
+                if n:
+                    mine[b] = n
+                    share[b][cid] = n
+                else:
+                    del mine[b]
+                    del share[b][cid]
+                    self._sharers_changed(b, -1)
         for p in new - old:
             members = occupants.get(p)
             if members is None:
                 occupants[p] = {cid}
-            else:
-                dirty |= members
-                members.add(cid)
+                continue
+            for b in members:
+                n = mine.get(b, 0) + 1
+                mine[b] = n
+                share[b][cid] = n
+                if n == 1:
+                    self._sharers_changed(b, 1)
+            members.add(cid)
         self._ports[cid] = new
-        dirty.add(cid)
+        self._sharers_changed(cid, len(mine) - before)
 
     def note_queue_change(self, coflow_id: int) -> None:
         """A coflow moved queue: its sharers' queue-scoped counts change."""
         if self.scope != "queue":
             return
-        ports = self._ports.get(coflow_id)
-        if ports is None:
+        mine = self._share.get(coflow_id)
+        if mine is None:
             return
-        occupants = self._occupants
-        for p in ports:
-            members = occupants.get(p)
-            if members:
-                self._dirty |= members
+        self._dirty.update(mine)
         self._dirty.add(coflow_id)
 
     # ---- queries ----------------------------------------------------------
 
     def counts(self, queue_of: Mapping[int, int] | None = None
                ) -> dict[int, int]:
-        """Current ``coflow_id -> k_c`` map, recounting only dirty coflows."""
-        if self.scope == "queue" and queue_of is None:
+        """Current ``coflow_id -> k_c`` map (a live view: read it before
+        the next update)."""
+        if self.scope == "all":
+            return self._counts
+        if queue_of is None:
             raise ValueError("scope='queue' requires queue_of mapping")
-        if self._dirty:
-            occupants = self._occupants
+        dirty = self._dirty
+        if dirty:
+            share = self._share
             counts = self._counts
-            for cid in self._dirty:
-                ports = self._ports.get(cid)
-                if ports is None:
-                    continue
-                blocked: set[int] = set()
-                for p in ports:
-                    members = occupants.get(p)
-                    if members:
-                        blocked |= members
-                blocked.discard(cid)
-                if self.scope == "queue":
-                    assert queue_of is not None
-                    mine = queue_of.get(cid)
-                    blocked = {b for b in blocked if queue_of.get(b) == mine}
-                counts[cid] = len(blocked)
-            self._dirty.clear()
+            get = queue_of.get
+            for cid in dirty:
+                mine = share[cid]
+                q = get(cid)
+                counts[cid] = sum(1 for b in mine if get(b) == q)
+            dirty.clear()
         return self._counts
 
 

@@ -25,6 +25,7 @@ flows have finished) is enabled by ``config.enable_dynamics_promotion``.
 from __future__ import annotations
 
 import math
+from time import perf_counter_ns
 
 from ..config import SimulationConfig
 from ..schedulers.base import Allocation, Scheduler
@@ -33,9 +34,8 @@ from ..simulator.flows import CoFlow, Flow
 from ..simulator.ratealloc import (
     equal_rate_for_coflow,
     equal_rate_for_coflow_paths,
-    equal_rate_for_coflow_rows,
     greedy_residual_rates,
-    greedy_residual_rates_rows,
+    saath_round_rows,
 )
 from ..simulator.state import ClusterState
 from .contention import ContentionTracker
@@ -80,7 +80,8 @@ class SaathScheduler(Scheduler):
         )
         #: Coflows governed by the §4.3 SRTF approximation (some flows done).
         self._dynamics_mode: set[int] = set()
-        #: Diagnostics: how often the starvation path admitted a coflow.
+        #: Diagnostics: starving coflows admitted (all-or-none, ahead of
+        #: the LCoF order), summed over rounds.
         self.starvation_admissions = 0
 
     # ---- lifecycle ------------------------------------------------------------
@@ -107,9 +108,34 @@ class SaathScheduler(Scheduler):
         # Incremental rounds consume the engine's dirty set; full rounds
         # (first round, dynamics) rebuild everything.
         incremental = not state.delta.full
-        queue_moves = self._assign_queues(state, now, incremental)
-        order = self._scheduling_order(state, now, incremental, queue_moves)
+        timers = self.timers
+        if timers is None:
+            queue_moves = self._assign_queues(state, now, incremental)
+            order, starving = self._scheduling_order(
+                state, now, incremental, queue_moves)
+            allocation = self._admit(state, order, now)
+        else:
+            t0 = perf_counter_ns()
+            queue_moves = self._assign_queues(state, now, incremental)
+            t1 = perf_counter_ns()
+            order, starving = self._scheduling_order(
+                state, now, incremental, queue_moves)
+            t2 = perf_counter_ns()
+            allocation = self._admit(state, order, now)
+            timers.add("schedule.assign", t1 - t0)
+            timers.add("schedule.order", t2 - t1)
+            timers.add("schedule.admit", perf_counter_ns() - t2)
+        if starving:
+            scheduled = allocation.scheduled_coflows
+            self.starvation_admissions += sum(
+                1 for c in order[:starving] if c.coflow_id in scheduled)
+        return allocation
 
+    def _admit(self, state: ClusterState, order: list[CoFlow],
+               now: float) -> Allocation:
+        """Fig. 7 lines 16–23: all-or-none admission with the D2 equal
+        rate in ``order``, then work conservation for the coflows left
+        out."""
         ledger = state.acquire_ledger()
         allocation = Allocation()
 
@@ -142,31 +168,17 @@ class SaathScheduler(Scheduler):
             return allocation
 
         if state.rows_tracked():
-            # Row path: admission, D2 rates and work conservation all walk
-            # table rows (same arithmetic and order as the object path).
-            table = state.table
-            missed_rows: list[list[int]] = []
-            for coflow in order:
-                rows = state.schedulable_rows(coflow, now)
-                if not rows:
-                    continue
-                # Flow-group compaction: per-port pending counts replace
-                # the per-flow recount in admission and D2 rate assignment
-                # whenever they exactly describe the schedulable set.
-                counts = state.port_counts(coflow, now)
-                if self._admissible_rows(rows, table, ledger, counts):
-                    rates = equal_rate_for_coflow_rows(
-                        rows, table, ledger, port_counts=counts
-                    )
-                    if rates:
-                        allocation.rates.update(rates)
-                        allocation.scheduled_coflows.add(coflow.coflow_id)
-                        continue
-                missed_rows.append(rows)
-            if self.work_conservation and missed_rows:
-                self._work_conserve_rows(
-                    missed_rows, table, ledger, allocation
-                )
+            # Row path: the whole round runs on table rows (same arithmetic
+            # and order as the object path below), compiled when available.
+            # Flow-group compaction: per-port pending counts replace the
+            # per-flow recount in admission and D2 rate assignment whenever
+            # they exactly describe the schedulable set.
+            ids, groups, group_counts = state.schedulable_groups(order, now)
+            saath_round_rows(
+                ids, groups, group_counts, state.table, ledger, allocation,
+                min_rate=self.config.min_rate,
+                work_conservation=self.work_conservation,
+            )
             return allocation
 
         #: Missed coflows with their (already gathered) schedulable flows,
@@ -259,8 +271,11 @@ class SaathScheduler(Scheduler):
 
     def _scheduling_order(self, state: ClusterState, now: float,
                           incremental: bool,
-                          queue_moves: set[int]) -> list[CoFlow]:
-        """Starved coflows first, then queues top-down, LCoF within each."""
+                          queue_moves: set[int]) -> tuple[list[CoFlow], int]:
+        """Starved coflows first, then queues top-down, LCoF within each.
+
+        Returns the order and how many starving coflows lead it.
+        """
         starving: list[CoFlow] = []
         per_queue: dict[int, list[CoFlow]] = {}
         for coflow in state.active_coflows:
@@ -273,7 +288,7 @@ class SaathScheduler(Scheduler):
                 ).append(coflow)
 
         starving.sort(key=lambda c: (self.tracker.deadline_of(c), c.coflow_id))
-        self.starvation_admissions += len(starving)
+        num_starving = len(starving)
 
         order = starving
         contention = None
@@ -296,7 +311,7 @@ class SaathScheduler(Scheduler):
             else:  # FIFO within the queue
                 members.sort(key=lambda c: (c.arrival_time, c.coflow_id))
                 order.extend(members)
-        return order
+        return order, num_starving
 
     def _contention_counts(self, state: ClusterState, incremental: bool,
                            queue_moves: set[int]) -> dict[int, int]:
@@ -356,32 +371,6 @@ class SaathScheduler(Scheduler):
             ports.add(f.dst)
         return all(residual(p) >= min_rate for p in ports)
 
-    def _admissible_rows(self, rows: list[int], table, ledger,
-                         port_counts: dict[int, int] | None = None) -> bool:
-        """Row-path twin of :meth:`_all_or_none_admissible` (same ports,
-        same conjunction). ``residual(p) >= min_rate`` is evaluated as
-        ``capacity - used >= min_rate`` over the ledger's dense lists —
-        ``min_rate`` is validated positive, so the max-with-zero clamp
-        inside ``residual`` cannot change the comparison."""
-        min_rate = self.config.min_rate
-        lcap = ledger.capacity_list
-        lused = ledger.used_list
-        if port_counts is not None:
-            for p in port_counts:
-                if lcap[p] - lused[p] < min_rate:
-                    return False
-            return True
-        src_col = table.src
-        dst_col = table.dst
-        ports: set[int] = set()
-        for i in rows:
-            ports.add(src_col[i])
-            ports.add(dst_col[i])
-        for p in ports:
-            if lcap[p] - lused[p] < min_rate:
-                return False
-        return True
-
     def _work_conserve(self, missed: list[list[Flow]],
                        ledger, allocation: Allocation) -> None:
         """Fig. 7 lines 18–23: fill leftover capacity in scheduling order."""
@@ -392,18 +381,4 @@ class SaathScheduler(Scheduler):
         if rates:
             allocation.rates.update(rates)
             granted = {f.coflow_id for f in wc_flows if f.flow_id in rates}
-            allocation.work_conserved_coflows |= granted
-
-    def _work_conserve_rows(self, missed: list[list[int]], table,
-                            ledger, allocation: Allocation) -> None:
-        """Row-path twin of :meth:`_work_conserve` (same fill walk)."""
-        wc_rows: list[int] = []
-        for rows in missed:
-            wc_rows.extend(rows)
-        rates = greedy_residual_rates_rows(wc_rows, table, ledger)
-        if rates:
-            allocation.rates.update(rates)
-            fid = table.flow_id
-            cid = table.coflow_id
-            granted = {cid[i] for i in wc_rows if fid[i] in rates}
             allocation.work_conserved_coflows |= granted

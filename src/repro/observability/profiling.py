@@ -106,17 +106,33 @@ class PhaseTimers:
                 mine[3] = cell[3]
 
     def report(self) -> str:
-        """Human-readable breakdown, widest phase first."""
+        """Human-readable breakdown, widest phase first.
+
+        Dotted sub-phases (``schedule.admit``) are time spent *inside*
+        their parent phase: they print indented under it and are left out
+        of the share denominator.
+        """
         lines = ["phase                 calls     total_ms    mean_us"]
-        total_ns = sum(c[1] for c in self.phases.values()) or 1
-        order = sorted(self.phases.items(), key=lambda kv: -kv[1][1])
-        for name, (calls, total, _lo, _hi) in order:
-            mean_us = total / calls / 1e3 if calls else 0.0
-            share = 100.0 * total / total_ns
-            lines.append(
-                f"{name:<20} {int(calls):>6} {total / 1e6:>12.3f} "
-                f"{mean_us:>10.2f}  ({share:4.1f}%)"
-            )
+
+        def parent(name: str) -> str | None:
+            head, _, _ = name.partition(".")
+            return head if head != name and head in self.phases else None
+
+        def widest(names):
+            return sorted(names, key=lambda n: -self.phases[n][1])
+
+        top = [n for n in self.phases if parent(n) is None]
+        total_ns = sum(self.phases[n][1] for n in top) or 1
+        for name in widest(top):
+            subs = widest(n for n in self.phases if parent(n) == name)
+            for label, sub in [(name, name)] + [("  " + n, n) for n in subs]:
+                calls, total, _lo, _hi = self.phases[sub]
+                mean_us = total / calls / 1e3 if calls else 0.0
+                share = 100.0 * total / total_ns
+                lines.append(
+                    f"{label:<20} {int(calls):>6} {total / 1e6:>12.3f} "
+                    f"{mean_us:>10.2f}  ({share:4.1f}%)"
+                )
         if self.started_ns is not None:
             lines.append(f"run envelope: {self.elapsed_s:.3f}s wall")
         return "\n".join(lines)

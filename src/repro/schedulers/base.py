@@ -55,12 +55,15 @@ class Scheduler(abc.ABC):
     #: :meth:`bind_instrumentation`).
     tracer = None
     metrics = None
+    #: :class:`~repro.observability.PhaseTimers` for scheduler sub-phases
+    #: (recorded below the session's ``schedule`` phase).
+    timers = None
 
     def __init__(self, config: SimulationConfig):
         self.config = config
 
-    def bind_instrumentation(self, tracer, metrics) -> None:
-        """Attach observability hooks (both may be ``None`` to detach).
+    def bind_instrumentation(self, tracer, metrics, timers=None) -> None:
+        """Attach observability hooks (any may be ``None`` to detach).
 
         The session calls this at construction and after instrumentation
         is (re)attached; schedulers owning a
@@ -69,6 +72,7 @@ class Scheduler(abc.ABC):
         """
         self.tracer = tracer
         self.metrics = metrics
+        self.timers = timers
         tracker = getattr(self, "tracker", None)
         if tracker is not None:
             tracker.tracer = tracer

@@ -34,6 +34,11 @@ links — sender port, receiver port, plus the core links a
 computed rates saturate at the true bottleneck link. On a big-switch
 topology every path is just ``(src, dst)`` and the path twins are
 bit-identical to the port-only forms (asserted by the fuzz suite).
+
+:func:`saath_round_rows` composes the row forms into Saath's whole
+big-switch admission round (all-or-none, D2 equal rate, work
+conservation); it is the Python reference of the compiled
+``saath_round`` kernel.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from .fabric import _CAPACITY_TOLERANCE, CapacityViolationError, PortLedger
 from .flows import CoFlow, Flow
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (state -> fabric)
+    from ..schedulers.base import Allocation
     from .state import FlowTable
     from .topology import PathMap
 
@@ -548,17 +554,11 @@ def equal_rate_for_coflow_rows(
     """Row-path twin of :func:`equal_rate_for_coflow` (same caps, same min).
 
     ``rows`` are the coflow's schedulable rows; ``port_counts`` is the
-    cluster state's compaction cache exactly as in the object form.
+    cluster state's compaction cache exactly as in the object form. Its
+    compiled twin runs inside the ``saath_round`` kernel (see
+    :func:`saath_round_rows`), so this form is the Python path.
     """
     metrics = ledger._metrics
-    if table.fastcore and _core is not None and type(ledger) is PortLedger:
-        if metrics is not None:
-            metrics.inc("kernel.equal_rate_rows.fastcore")
-        return _core.equal_rate_rows(
-            rows, table.finish_time, table.src, table.dst, table.flow_id,
-            ledger.capacity_list, ledger.used_list, ledger.touched_set,
-            port_counts,
-        )
     if metrics is not None:
         metrics.inc("kernel.equal_rate_rows.python")
     ft = table.finish_time
@@ -928,3 +928,101 @@ def greedy_residual_rates_rows(
             if lcap[dst] - lused[dst] <= 0:
                 dead.add(dst)
     return rates
+
+
+def _admissible_rows(rows: Sequence[int], table: "FlowTable",
+                     ledger: PortLedger, port_counts: dict[int, int] | None,
+                     min_rate: float) -> bool:
+    """All-or-none admission over rows: every port the rows touch has
+    ``residual(p) >= min_rate``. ``port_counts`` supplies the port set when
+    it exactly covers ``rows``; the conjunction ranges over the same ports
+    either way. ``residual(p) >= min_rate`` is evaluated as
+    ``capacity - used >= min_rate`` over the ledger's dense lists —
+    ``min_rate`` is validated positive, so the max-with-zero clamp inside
+    ``residual`` cannot change the comparison."""
+    lcap = ledger.capacity_list
+    lused = ledger.used_list
+    if port_counts is not None:
+        for p in port_counts:
+            if lcap[p] - lused[p] < min_rate:
+                return False
+        return True
+    src_col = table.src
+    dst_col = table.dst
+    ports: set[int] = set()
+    for i in rows:
+        ports.add(src_col[i])
+        ports.add(dst_col[i])
+    for p in ports:
+        if lcap[p] - lused[p] < min_rate:
+            return False
+    return True
+
+
+def saath_round_rows(
+    coflow_ids: list[int],
+    groups: list[list[int]],
+    group_counts: list[dict[int, int] | None],
+    table: "FlowTable",
+    ledger: PortLedger,
+    allocation: "Allocation",
+    *,
+    min_rate: float,
+    work_conservation: bool,
+) -> None:
+    """Saath's admission round on a big switch (Fig. 7 lines 16–23).
+
+    ``groups[k]`` holds the schedulable rows of coflow ``coflow_ids[k]``, in
+    scheduling order, and ``group_counts[k]`` its per-port pending counts
+    (``None`` when availability makes them inexact, see
+    :meth:`~repro.simulator.state.ClusterState.port_counts`). Each coflow
+    in turn is admitted all-or-none (:func:`_admissible_rows`) and given
+    its D2 equal rate (:func:`equal_rate_for_coflow_rows`); coflows that
+    are not admitted, or whose equal rate is zero, are then filled in
+    order by one :func:`greedy_residual_rates_rows` walk. Rates, the
+    admitted ids and the work-conserved ids are written into
+    ``allocation``, in the object path's insertion order.
+
+    With the compiled core the whole round is one ``saath_round`` call,
+    which runs the same equal-rate and greedy kernels and bumps their
+    ``kernel.*.fastcore`` counters by the calls it made.
+    """
+    metrics = ledger._metrics
+    if table.fastcore and _core is not None and type(ledger) is PortLedger:
+        equal_calls, greedy_calls = _core.saath_round(
+            coflow_ids, groups, group_counts, table.finish_time, table.src,
+            table.dst, table.flow_id, table.coflow_id, ledger.capacity_list,
+            ledger.used_list, ledger.touched_set, min_rate,
+            work_conservation, allocation.rates,
+            allocation.scheduled_coflows, allocation.work_conserved_coflows,
+        )
+        if metrics is not None:
+            if equal_calls:
+                metrics.inc("kernel.equal_rate_rows.fastcore", equal_calls)
+            if greedy_calls:
+                metrics.inc("kernel.greedy_rows.fastcore", greedy_calls)
+        return
+    missed_rows: list[list[int]] = []
+    for cid, rows, counts in zip(coflow_ids, groups, group_counts):
+        if not rows:
+            continue
+        if _admissible_rows(rows, table, ledger, counts, min_rate):
+            rates = equal_rate_for_coflow_rows(
+                rows, table, ledger, port_counts=counts
+            )
+            if rates:
+                allocation.rates.update(rates)
+                allocation.scheduled_coflows.add(cid)
+                continue
+        missed_rows.append(rows)
+    if work_conservation and missed_rows:
+        wc_rows: list[int] = []
+        for rows in missed_rows:
+            wc_rows.extend(rows)
+        rates = greedy_residual_rates_rows(wc_rows, table, ledger)
+        if rates:
+            allocation.rates.update(rates)
+            fid = table.flow_id
+            cid_col = table.coflow_id
+            granted = {cid_col[i] for i in wc_rows if fid[i] in rates}
+            allocation.work_conserved_coflows |= granted

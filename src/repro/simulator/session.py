@@ -564,7 +564,7 @@ class SimulationSession:
         self._metrics = metrics
         self._timers = timers
         self.state.set_metrics(metrics)
-        self.scheduler.bind_instrumentation(tracer, metrics)
+        self.scheduler.bind_instrumentation(tracer, metrics, timers)
         if self.state.paths is not None:
             self.state.paths.tracer = tracer
         return self
@@ -858,7 +858,7 @@ class SimulationSession:
             if observer is not None and hasattr(observer, "bind_scheduler"):
                 observer.bind_scheduler(scheduler)
             scheduler.bind_instrumentation(
-                session._tracer, session._metrics
+                session._tracer, session._metrics, session._timers
             )
             # Warm the new policy exactly as if it had witnessed the live
             # coflows arrive, then rebuild all incremental bookkeeping.

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .fabric import Fabric, PortLedger
 from .flows import CoFlow, Flow
@@ -463,6 +464,47 @@ class ClusterState:
         if self.respect_availability and self.max_available_time(coflow) > now:
             return None
         return self.pending_port_counts(coflow)
+
+    def schedulable_groups(
+        self, coflows: Iterable[CoFlow], now: float
+    ) -> tuple[list[int], list[list[int]], list[dict[int, int] | None]]:
+        """:meth:`schedulable_rows` and :meth:`port_counts` for many coflows.
+
+        Returns parallel lists ``(coflow ids, rows, port counts)`` over the
+        coflows, in order, that have a schedulable row at ``now``; coflows
+        with none are left out. Every coflow must be table-tracked
+        (:meth:`rows_tracked`). Rows may be live caches, as with
+        :meth:`schedulable_rows`.
+        """
+        pending = self._pending_rows
+        max_avail = self._max_avail
+        cached_counts = self._port_counts
+        gated = self.respect_availability
+        avail = self.table.available_time
+        ids: list[int] = []
+        groups: list[list[int]] = []
+        group_counts: list[dict[int, int] | None] = []
+        for coflow in coflows:
+            cid = coflow.coflow_id
+            rows = pending[cid]
+            bound = max_avail.get(cid)
+            if bound is None:
+                bound = self.max_available_time(coflow)
+            if gated and bound > now:
+                rows = [i for i in rows if avail[i] <= now]
+                if not rows:
+                    continue
+                counts = None
+            else:
+                if not rows:
+                    continue
+                counts = cached_counts.get(cid)
+                if counts is None:
+                    counts = self.pending_port_counts(coflow)
+            ids.append(cid)
+            groups.append(rows)
+            group_counts.append(counts)
+        return ids, groups, group_counts
 
     def pending_port_counts(self, coflow: CoFlow) -> dict[int, int]:
         """Per-port pending-flow counts, regardless of availability.

@@ -37,6 +37,9 @@ fuzz with a big-switch path map: on paths with no core links they must be
 bit-identical to the port-only forms. The ``*-fastcore`` variants run the
 same trials with ``table.fastcore`` set, routing the row forms through the
 compiled kernels — they skip cleanly when the extension is not built.
+The ``saath-round`` legs fuzz Saath's whole big-switch admission round
+(:func:`~repro.simulator.ratealloc.saath_round_rows`, Python reference and
+compiled ``saath_round``) against the scheduler's object-path round.
 """
 
 from __future__ import annotations
@@ -48,6 +51,10 @@ import pytest
 
 from repro import _fastcore
 from repro.config import SimulationConfig
+from repro.core.saath import SaathScheduler
+from repro.errors import CapacityViolationError
+from repro.observability import MetricsRegistry
+from repro.schedulers.base import Allocation
 from repro.schedulers.registry import available_policies, make_scheduler
 from repro.simulator.engine import run_policy, run_scenario
 from repro.simulator.fabric import Fabric, PortLedger
@@ -66,6 +73,7 @@ from repro.simulator.ratealloc import (
     max_min_fair,
     max_min_fair_paths,
     max_min_fair_rows,
+    saath_round_rows,
 )
 from repro.simulator.state import FlowTable
 from repro.simulator.topology import BigSwitchTopology, LeafSpineTopology, PathMap
@@ -268,10 +276,178 @@ def _random_attached_flows(rng: random.Random, machines: int):
     return flows, table, rows
 
 
+def _object_saath_round(groups, ledger, min_rate, work_conservation):
+    """Saath's object-path admission round: ``_all_or_none_admissible`` +
+    ``equal_rate_for_coflow`` per coflow, then ``greedy_residual_rates``.
+    Returns the allocation and the (equal-rate, greedy) call counts."""
+    saath = SaathScheduler(SimulationConfig(min_rate=min_rate),
+                           work_conservation=work_conservation)
+    allocation = Allocation()
+    calls = [0, 0]
+    missed = []
+    try:
+        for cid, flows, _rows, counts in groups:
+            if not flows:
+                continue
+            if saath._all_or_none_admissible(flows, ledger, counts):
+                calls[0] += 1
+                rates = equal_rate_for_coflow(
+                    CoFlow(coflow_id=cid, arrival_time=0.0, flows=[]),
+                    ledger, flows=flows, port_counts=counts,
+                )
+                if rates:
+                    allocation.rates.update(rates)
+                    allocation.scheduled_coflows.add(cid)
+                    continue
+            missed.append(flows)
+        if work_conservation and missed:
+            calls[1] += 1
+            saath._work_conserve(missed, ledger, allocation)
+        error = None
+    except CapacityViolationError as exc:
+        error = exc
+    return allocation, calls, error
+
+
+def _saath_round_instance(rng, machines, min_rate):
+    """Random coflow groups on a fresh table: empty groups, finished rows,
+    availability-gated groups (a row subset with ``counts=None``) and
+    exact per-port counts otherwise."""
+    table = FlowTable()
+    groups = []
+    fid = 0
+    for cid in range(1, rng.randrange(2, 8)):
+        flows = []
+        for _ in range(rng.randrange(0, 6)):
+            src = rng.randrange(machines)
+            dst = rng.randrange(machines)
+            if dst == src:
+                dst = (dst + 1) % machines
+            f = Flow(flow_id=fid, coflow_id=cid, src=src,
+                     dst=dst + machines, volume=1e5)
+            if rng.random() < 0.15:
+                f.finish_time = 1.0
+            flows.append(f)
+            fid += 1
+        rows = [table.adopt(f, pos) for pos, f in enumerate(flows)]
+        if rng.random() < 0.3:
+            keep = [k for k in range(len(flows)) if rng.random() < 0.7]
+            flows = [flows[k] for k in keep]
+            rows = [rows[k] for k in keep]
+            counts = None
+        else:
+            counts = {}
+            for f in flows:
+                if f.finish_time is None:
+                    counts[f.src] = counts.get(f.src, 0) + 1
+                    counts[f.dst] = counts.get(f.dst, 0) + 1
+        groups.append((cid, flows, rows, counts))
+    return table, groups
+
+
+def _assert_saath_round_matches(groups, table, fabric, precommits, min_rate,
+                                work_conservation, fastcore, label):
+    """Run the object round and ``saath_round_rows`` on twin ledgers and
+    pin rates (with insertion order), admitted / work-conserved sets (with
+    iteration order), ledger state and kernel counters."""
+    obj_ledger = PortLedger(fabric)
+    row_ledger = PortLedger(fabric)
+    for src, dst, rate in precommits:
+        obj_ledger.commit(src, dst, rate)
+        row_ledger.commit(src, dst, rate)
+    metrics = MetricsRegistry()
+    row_ledger._metrics = metrics
+    expected, calls, obj_error = _object_saath_round(
+        groups, obj_ledger, min_rate, work_conservation)
+    got = Allocation()
+    ids = [cid for cid, *_ in groups]
+    table.fastcore = fastcore
+    try:
+        saath_round_rows(
+            ids, [g[2] for g in groups], [g[3] for g in groups], table,
+            row_ledger, got, min_rate=min_rate,
+            work_conservation=work_conservation,
+        )
+        row_error = None
+    except CapacityViolationError as exc:
+        row_error = exc
+    assert (type(row_error), str(row_error)) == (
+        type(obj_error), str(obj_error)), label
+    assert list(got.rates.items()) == list(expected.rates.items()), label
+    assert list(got.scheduled_coflows) == list(expected.scheduled_coflows), (
+        label)
+    assert (list(got.work_conserved_coflows)
+            == list(expected.work_conserved_coflows)), label
+    assert ([u.hex() for u in row_ledger.used_list]
+            == [u.hex() for u in obj_ledger.used_list]), label
+    assert row_ledger.touched_set == obj_ledger.touched_set, label
+    if obj_error is None:
+        kind = "fastcore" if fastcore else "python"
+        assert metrics.counter(f"kernel.equal_rate_rows.{kind}") == calls[0]
+        assert metrics.counter(f"kernel.greedy_rows.{kind}") == calls[1]
+    return expected, obj_error
+
+
+def _check_saath_round(rng, fastcore):
+    machines = 6
+    fabric = Fabric(num_machines=machines, port_rate=1e6)
+    outcomes = {"scheduled": 0, "wc": 0, "exact": 0}
+    for trial in range(150):
+        min_rate = rng.choice([1.0, 1024.0, 5e4])
+        table, groups = _saath_round_instance(rng, machines, min_rate)
+        # Pre-load distinct senders; some ports are left with a residual
+        # of exactly min_rate (admissible: the test is >=).
+        precommits = []
+        for src in rng.sample(range(machines), rng.randrange(0, 4)):
+            rate = rng.choice([1e5, 6e5, 1e6 - min_rate])
+            outcomes["exact"] += rate == 1e6 - min_rate
+            precommits.append((src, src + machines, rate))
+        expected, _ = _assert_saath_round_matches(
+            groups, table, fabric, precommits, min_rate,
+            rng.random() < 0.8, fastcore, f"saath-round trial {trial}")
+        outcomes["scheduled"] += bool(expected.scheduled_coflows)
+        outcomes["wc"] += bool(expected.work_conserved_coflows)
+    assert all(outcomes.values()), outcomes
+
+    # An admitted coflow whose equal rate rounds to zero falls through to
+    # work conservation: port 0 keeps one denormal step (== min_rate, so
+    # admissible) shared by two flows, and half a step rounds to 0.0.
+    step = 5e-324
+    tiny = Fabric(num_machines=2, port_rate=4 * step)
+    table = FlowTable()
+    flows = [Flow(flow_id=0, coflow_id=1, src=0, dst=2, volume=1.0),
+             Flow(flow_id=1, coflow_id=1, src=0, dst=3, volume=1.0)]
+    rows = [table.adopt(f, pos) for pos, f in enumerate(flows)]
+    for counts in ({0: 2, 2: 1, 3: 1}, None):
+        for wc in (True, False):
+            got, _ = _assert_saath_round_matches(
+                [(1, flows, rows, counts)], table, tiny,
+                [(0, 2, 3 * step)], step, wc, fastcore, "zero equal rate")
+            assert not got.scheduled_coflows
+            assert got.work_conserved_coflows == ({1} if wc else set())
+
+    # Counts that undercount the rows break the capacity invariant: the
+    # second commit on port 0 raises, after the first coflow's rates and
+    # one row's commit have landed, identically on every path.
+    table = FlowTable()
+    first = [Flow(flow_id=0, coflow_id=1, src=1, dst=9, volume=1.0)]
+    bad = [Flow(flow_id=1 + k, coflow_id=2, src=0, dst=6 + k, volume=1.0)
+           for k in range(3)]
+    first_rows = [table.adopt(f, 0) for f in first]
+    bad_rows = [table.adopt(f, pos) for pos, f in enumerate(bad)]
+    got, error = _assert_saath_round_matches(
+        [(1, first, first_rows, {1: 1, 9: 1}),
+         (2, bad, bad_rows, {0: 1, 6: 1, 7: 1, 8: 1})],
+        table, fabric, [], 1.0, True, fastcore, "capacity violation")
+    assert isinstance(error, CapacityViolationError)
+    assert got.scheduled_coflows == {1}
+
+
 @pytest.mark.parametrize("allocator", [
     "mmf", "madd", "equal", "greedy",
     "mmf-paths", "madd-paths", "equal-paths",
-    "mmf-fastcore", "madd-fastcore", "equal-fastcore", "greedy-fastcore",
+    "mmf-fastcore", "madd-fastcore", "greedy-fastcore",
+    "saath-round", "saath-round-fastcore",
 ])
 def test_row_allocators_match_object_allocators(allocator):
     """Row-path and path-aware allocators are bit-identical to the object
@@ -287,6 +463,9 @@ def test_row_allocators_match_object_allocators(allocator):
             pytest.skip("repro._fastcore extension not built")
         allocator = allocator[: -len("-fastcore")]
     rng = random.Random(2024)
+    if allocator == "saath-round":
+        _check_saath_round(rng, fastcore)
+        return
     machines = 8
     fabric = Fabric(num_machines=machines, port_rate=1e6)
     coflow_stub = CoFlow(coflow_id=1, arrival_time=0.0, flows=[])

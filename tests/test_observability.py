@@ -27,6 +27,7 @@ import pytest
 from repro import _fastcore
 from repro.analysis.telemetry import TelemetryRecorder
 from repro.config import SimulationConfig
+from repro.core.saath import SaathScheduler
 from repro.experiments.runner import (
     METRICS_ENV,
     ResultCache,
@@ -207,6 +208,12 @@ class TestPhaseTimers:
         assert snap["calls"] == 3
         report = t.report()
         assert "schedule" in report and "run envelope" in report
+        # Sub-phases print indented under their parent and stay out of
+        # the share denominator (schedule is 5 of the 5.5 top-level ms).
+        t.add("schedule.admit", 2_000_000)
+        report = t.report().splitlines()
+        assert report[1].startswith("schedule") and "90.9%" in report[1]
+        assert report[2].startswith("  schedule.admit")
         assert copy.deepcopy(t) is None
 
 
@@ -246,6 +253,18 @@ class TestNonPerturbation:
             assert tracer.events > 0
             assert metrics.counter("flows.completed") > 0
             assert timers.to_dict()["phases"]
+            phases = timers.phases
+            subs = [phases.get(f"schedule.{part}")
+                    for part in ("assign", "order", "admit")]
+            if isinstance(make_scheduler(policy, cfg), SaathScheduler):
+                # Saath's sub-phases nest inside the session's schedule
+                # phase: one sample each per round, never more time.
+                rounds, schedule_ns = phases["schedule"][:2]
+                assert all(cell is not None and cell[0] == rounds
+                           for cell in subs), sorted(phases)
+                assert sum(cell[1] for cell in subs) <= schedule_ns
+            else:
+                assert subs == [None, None, None]
 
     def test_port_category_forces_python_twin_bit_identically(self, tmp_path):
         # The hazardous path: tracing "port" utilisation needs the Python

@@ -148,6 +148,24 @@ class TestStarvation:
         assert saath.starvation_admissions > 0
         assert 1 in alloc.scheduled_coflows
 
+    def test_starvation_admissions_counts_only_admitted_starvers(self):
+        """Both coflows starve and share sender 0; the earlier-deadline
+        hub takes the whole port, so each round admits exactly one
+        starving coflow and the blocked spoke is not counted."""
+        fab = _fabric()
+        saath = SaathScheduler(_cfg(deadline_factor=1.0))
+        hub = make_coflow(1, 0.0, [(0, fab.receiver_port(4), 1e5),
+                                   (1, fab.receiver_port(5), 1e5)],
+                          flow_id_start=0)
+        spoke = make_coflow(2, 0.0, [(0, fab.receiver_port(6), 1e5)],
+                            flow_id_start=10)
+        state = _state(fab, [hub, spoke], saath)
+        for rounds in (1, 2):
+            alloc = saath.schedule(state, now=1e6)
+            assert saath.tracker.starving(spoke, 1e6)
+            assert alloc.scheduled_coflows == {1}
+            assert saath.starvation_admissions == rounds
+
     def test_no_starvation_handling_when_disabled(self):
         fab = _fabric()
         saath = SaathScheduler(_cfg(deadline_factor=None))

@@ -30,7 +30,10 @@ and osp-like/aalo dominate the wall clock" claims are reproduced.
 :class:`~repro.observability.PhaseTimers` — per-phase (lookout / advance /
 completions / events / schedule / apply) wall-time breakdowns that span
 the fastcore boundary without cProfile's per-call overhead distorting
-compiled-vs-Python comparisons. Composes with ``--cells`` to print a
+compiled-vs-Python comparisons. Saath's rounds also split ``schedule``
+into ``schedule.assign`` (queue assignment), ``schedule.order`` (starvation
+check, contention and LCoF sort) and ``schedule.admit`` (all-or-none
+admission, D2 rates and work conservation), printed indented under it. Composes with ``--cells`` to print a
 phase breakdown under every cell.
 """
 
