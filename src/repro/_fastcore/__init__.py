@@ -4,10 +4,13 @@ The extension module (``repro._fastcore._core``, built from ``fastcore.c``)
 re-implements the progressive-fill / fused-allocation kernels of
 :mod:`repro.simulator.ratealloc` (including ``saath_round``, Saath's whole
 big-switch admission round, twin of ``ratealloc.saath_round_rows``), the
-inner loops of :mod:`repro.simulator.session` and the round cores of the
-Aalo and UC-TCP schedulers with the same IEEE-754 operations in the same
-order, so results are **bitwise identical** to the pure-Python rows path —
-asserted by the fuzz firewall (``tests/test_fuzz_equivalence.py``).
+inner loops of :mod:`repro.simulator.session`, the round cores of the
+Aalo and UC-TCP schedulers, and the queue-threshold layer shared by Aalo
+and Saath (``queue_targets`` / ``queue_wakeup``, twins of
+``QueueTracker._moves_rows`` / ``QueueTracker._earliest_rows``) with the
+same IEEE-754 operations in the same order, so results are **bitwise
+identical** to the pure-Python rows path — asserted by the fuzz firewall
+(``tests/test_fuzz_equivalence.py``).
 
 This package degrades gracefully: when the extension is not built (no
 compiler, fresh checkout, cross-platform wheel), :data:`core` is ``None``,

@@ -1973,6 +1973,33 @@ done:
     return result;
 }
 
+/* A float sequence as a fresh PyMem array (caller frees); -1 on error. */
+static Py_ssize_t
+seq_doubles(PyObject *seq, double **out, const char *what)
+{
+    PyObject *fast = PySequence_Fast(seq, what);
+    if (fast == NULL)
+        return -1;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
+    double *v = PyMem_New(double, n > 0 ? n : 1);
+    if (v == NULL) {
+        Py_DECREF(fast);
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        v[i] = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(fast, i));
+        if (v[i] == -1.0 && PyErr_Occurred()) {
+            PyMem_Free(v);
+            Py_DECREF(fast);
+            return -1;
+        }
+    }
+    Py_DECREF(fast);
+    *out = v;
+    return n;
+}
+
 /* ---- Aalo round kernel ------------------------------------------------- */
 
 /* rates[flow_id] = rates.get(flow_id, 0.0) + rate, with a Python-int key. */
@@ -2007,12 +2034,31 @@ rate_accum(PyObject *rates, int64_t flow_id, double rate)
     return r;
 }
 
-/* aalo_ports(coflow_runs, weights, src, dst, fid, cid,
+/* One coflow's place in the ports' service order. */
+typedef struct {
+    long queue;
+    long long fifo;
+    Py_ssize_t run;
+} run_key;
+
+static int
+run_key_cmp(const void *a, const void *b)
+{
+    const run_key *x = a, *y = b;
+    if (x->queue != y->queue)
+        return x->queue < y->queue ? -1 : 1;
+    if (x->fifo != y->fifo)
+        return x->fifo < y->fifo ? -1 : 1;
+    return 0;
+}
+
+/* aalo_ports(ids, groups, qmap, fifo, weights, src, dst, fid, cid,
  *            lcap, lused, touched, rates, scheduled)
  *
- * Compiled twin of AaloScheduler._schedule_rows' bucket-and-serve core:
- * flatten the (queue, rows) coflow runs — already in (queue, FIFO) order
- * with each coflow's rows in flow-id order — into per-sender sequences
+ * Compiled twin of AaloScheduler._serve_rows: order the coflow row groups
+ * by (queue, FIFO index) — qmap[ids[r]], fifo[ids[r]]; FIFO indices are
+ * unique, so the order is total, as in _per_sender — then flatten them,
+ * each coflow's rows already in flow-id order, into per-sender sequences
  * (CSR over the sender ports, preserving global order, which is exactly
  * the defaultdict-append order of the Python path), then serve every
  * non-empty port in ascending order with the weighted-share pass and the
@@ -2024,19 +2070,19 @@ rate_accum(PyObject *rates, int64_t flow_id, double rate)
 static PyObject *
 aalo_ports(PyObject *self, PyObject *args)
 {
-    PyObject *runs_in, *weights, *src_o, *dst_o, *fid_o, *cid_o,
-             *lcap_o, *lused_o, *touched, *rates, *scheduled;
-    if (!PyArg_ParseTuple(args, "OOOOOOOOOOO", &runs_in, &weights,
+    PyObject *ids_in, *groups_in, *qmap, *fifo, *weights, *src_o, *dst_o,
+             *fid_o, *cid_o, *lcap_o, *lused_o, *touched, *rates, *scheduled;
+    if (!PyArg_ParseTuple(args, "OOO!O!OOOOOOOOOO", &ids_in, &groups_in,
+                          &PyDict_Type, &qmap, &PyDict_Type, &fifo, &weights,
                           &src_o, &dst_o, &fid_o, &cid_o,
                           &lcap_o, &lused_o, &touched, &rates, &scheduled))
         return NULL;
 
     bufs B = {0};
     PyObject *result = NULL;
-    PyObject *runs_fast = NULL;
-    PyObject *wfast = NULL;
+    PyObject *ids_fast = NULL, *runs_fast = NULL;
     PyObject **row_fasts = NULL;
-    int *run_queue = NULL;
+    run_key *keys = NULL;
     Py_ssize_t *g_row = NULL, *off = NULL, *cur = NULL, *p_row = NULL;
     int *g_queue = NULL, *p_queue = NULL;
     double *wq = NULL;
@@ -2059,30 +2105,27 @@ aalo_ports(PyObject *self, PyObject *args)
         goto done;
     }
 
-    wfast = PySequence_Fast(weights,
-                            "fastcore: queue weights must be a sequence");
-    if (wfast == NULL)
+    Py_ssize_t nq = seq_doubles(weights, &wq,
+                                "fastcore: queue weights must be a sequence");
+    if (nq < 0)
         goto done;
-    Py_ssize_t nq = PySequence_Fast_GET_SIZE(wfast);
-    wq = PyMem_New(double, nq > 0 ? nq : 1);
-    if (wq == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    for (Py_ssize_t i = 0; i < nq; i++) {
-        wq[i] = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(wfast, i));
-        if (wq[i] == -1.0 && PyErr_Occurred())
-            goto done;
-    }
 
-    runs_fast = PySequence_Fast(runs_in,
-                                "fastcore: coflow runs must be a sequence");
+    ids_fast = PySequence_Fast(ids_in, "fastcore: ids must be a sequence");
+    if (ids_fast == NULL)
+        goto done;
+    runs_fast = PySequence_Fast(groups_in,
+                                "fastcore: row groups must be a sequence");
     if (runs_fast == NULL)
         goto done;
     nruns = PySequence_Fast_GET_SIZE(runs_fast);
+    if (PySequence_Fast_GET_SIZE(ids_fast) != nruns) {
+        PyErr_SetString(PyExc_ValueError,
+                        "fastcore: aalo_ports ids/groups length mismatch");
+        goto done;
+    }
     row_fasts = PyMem_New(PyObject *, nruns > 0 ? nruns : 1);
-    run_queue = PyMem_New(int, nruns > 0 ? nruns : 1);
-    if (row_fasts == NULL || run_queue == NULL) {
+    keys = PyMem_New(run_key, nruns > 0 ? nruns : 1);
+    if (row_fasts == NULL || keys == NULL) {
         PyErr_NoMemory();
         goto done;
     }
@@ -2090,14 +2133,19 @@ aalo_ports(PyObject *self, PyObject *args)
         row_fasts[r] = NULL;
     Py_ssize_t total = 0;
     for (Py_ssize_t r = 0; r < nruns; r++) {
-        PyObject *item = PySequence_Fast_GET_ITEM(runs_fast, r);
-        if (!PyTuple_Check(item) || PyTuple_GET_SIZE(item) != 2) {
-            PyErr_SetString(PyExc_TypeError,
-                            "fastcore: coflow run must be (queue, rows)");
+        PyObject *key = PySequence_Fast_GET_ITEM(ids_fast, r);
+        PyObject *qobj = PyDict_GetItemWithError(qmap, key);
+        PyObject *fobj = qobj ? PyDict_GetItemWithError(fifo, key) : NULL;
+        if (fobj == NULL) {
+            if (!PyErr_Occurred())
+                PyErr_SetObject(PyExc_KeyError, key);
             goto done;
         }
-        long q = PyLong_AsLong(PyTuple_GET_ITEM(item, 0));
+        long q = PyLong_AsLong(qobj);
         if (q == -1 && PyErr_Occurred())
+            goto done;
+        long long f = PyLong_AsLongLong(fobj);
+        if (f == -1 && PyErr_Occurred())
             goto done;
         if (q < 0 || q >= nq) {
             PyErr_Format(PyExc_IndexError,
@@ -2105,13 +2153,16 @@ aalo_ports(PyObject *self, PyObject *args)
                          q, nq);
             goto done;
         }
-        run_queue[r] = (int)q;
-        row_fasts[r] = PySequence_Fast(PyTuple_GET_ITEM(item, 1),
+        keys[r].queue = q;
+        keys[r].fifo = f;
+        keys[r].run = r;
+        row_fasts[r] = PySequence_Fast(PySequence_Fast_GET_ITEM(runs_fast, r),
                                        "fastcore: rows must be a sequence");
         if (row_fasts[r] == NULL)
             goto done;
         total += PySequence_Fast_GET_SIZE(row_fasts[r]);
     }
+    qsort(keys, (size_t)nruns, sizeof(run_key), run_key_cmp);
 
     g_row = PyMem_New(Py_ssize_t, total > 0 ? total : 1);
     g_queue = PyMem_New(int, total > 0 ? total : 1);
@@ -2130,11 +2181,12 @@ aalo_ports(PyObject *self, PyObject *args)
         off[p] = 0;
 
     Py_ssize_t N = 0;
-    for (Py_ssize_t r = 0; r < nruns; r++) {
+    for (Py_ssize_t k = 0; k < nruns; k++) {
+        Py_ssize_t r = keys[k].run;
         Py_ssize_t nr = PySequence_Fast_GET_SIZE(row_fasts[r]);
         PyObject **items = PySequence_Fast_ITEMS(row_fasts[r]);
-        for (Py_ssize_t k = 0; k < nr; k++) {
-            Py_ssize_t i = as_row(items[k], ncols, "aalo");
+        for (Py_ssize_t j = 0; j < nr; j++) {
+            Py_ssize_t i = as_row(items[j], ncols, "aalo");
             if (i < 0)
                 goto done;
             int64_t s = src[i];
@@ -2145,7 +2197,7 @@ aalo_ports(PyObject *self, PyObject *args)
                 goto done;
             }
             g_row[N] = i;
-            g_queue[N] = run_queue[r];
+            g_queue[N] = (int)keys[k].queue;
             off[s + 1]++;
             N++;
         }
@@ -2277,13 +2329,13 @@ done:
     PyMem_Free(g_queue);
     PyMem_Free(g_row);
     PyMem_Free(wq);
-    PyMem_Free(run_queue);
+    PyMem_Free(keys);
     if (row_fasts != NULL)
         for (Py_ssize_t r = 0; r < nruns; r++)
             Py_XDECREF(row_fasts[r]);
     PyMem_Free(row_fasts);
     Py_XDECREF(runs_fast);
-    Py_XDECREF(wfast);
+    Py_XDECREF(ids_fast);
     bufs_release(&B);
     return result;
 }
@@ -2315,107 +2367,62 @@ rates_get(PyObject *rates, int64_t flow_id, int *err)
     return r;
 }
 
-/* total_rate_rows(rows, fid, ft, rates) -> float
- *
- * QueueTracker.next_transition_time's "total" row branch: the summed rate
- * of the coflow's unfinished rows, in row order (same addition order as
- * the Python listcomp+sum). */
-static PyObject *
-total_rate_rows(PyObject *self, PyObject *args)
-{
-    PyObject *rows_in, *fid_o, *ft, *rates;
-    if (!PyArg_ParseTuple(args, "OOOO", &rows_in, &fid_o, &ft, &rates))
-        return NULL;
+/* Attribute names the queue kernels read off CoFlow objects (interned at
+ * module init). */
+static PyObject *str_rows = NULL, *str_table = NULL, *str_flows = NULL,
+                *str_coflow_id = NULL;
 
-    bufs B = {0};
-    PyObject *result = NULL, *fast = NULL;
-    Py_ssize_t ncols;
-    int64_t *fid = bufs_get(&B, fid_o, 'q', &ncols, "flow_id");
-    if (fid == NULL)
-        goto done;
-    if (!PyList_Check(ft) || PyList_GET_SIZE(ft) < ncols) {
-        PyErr_SetString(PyExc_TypeError,
-                        "fastcore: finish_time must be a list spanning "
-                        "the table columns");
-        goto done;
-    }
-    fast = PySequence_Fast(rows_in, "fastcore: rows must be a sequence");
-    if (fast == NULL)
-        goto done;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
-    PyObject **items = PySequence_Fast_ITEMS(fast);
+/* queues._live_rate: the summed rate of the unfinished rows, folded in
+ * row order from 0.0 (flows.left_sum). */
+static int
+live_rate(PyObject *rows, const int64_t *fid, PyObject *ft, Py_ssize_t ncols,
+          PyObject *rates, double *out)
+{
     double acc = 0.0;
     int err = 0;
+    Py_ssize_t n = PyList_GET_SIZE(rows);
     for (Py_ssize_t k = 0; k < n; k++) {
-        Py_ssize_t i = as_row(items[k], ncols, "transition");
+        Py_ssize_t i = as_row(PyList_GET_ITEM(rows, k), ncols, "transition");
         if (i < 0)
-            goto done;
+            return -1;
         if (PyList_GET_ITEM(ft, i) != Py_None)
             continue;
         acc += rates_get(rates, fid[i], &err);
         if (err)
-            goto done;
+            return -1;
     }
-    result = PyFloat_FromDouble(acc);
-
-done:
-    Py_XDECREF(fast);
-    bufs_release(&B);
-    return result;
+    *out = acc;
+    return 0;
 }
 
-/* per_flow_transition(rows, fid, ft, vol, bs, rates, per_flow_hi) -> float
- *
- * QueueTracker.next_transition_time's "perflow" row branch: seconds until
- * the first flow crosses per_flow_hi (0.0 for an immediate transition,
- * inf when none will).  Same scan order, comparisons and early return as
- * the Python loop. */
-static PyObject *
-per_flow_transition(PyObject *self, PyObject *args)
+/* queues._per_flow_crossing: seconds until the first unfinished row
+ * reaches per_flow_hi (0.0 for an immediate transition, inf when none
+ * will).  Same scan order, comparisons, min() tie-breaks and early
+ * return as the Python loop. */
+static int
+per_flow_crossing(PyObject *rows, const int64_t *fid, PyObject *ft,
+                  const double *vol, const double *bs, Py_ssize_t ncols,
+                  PyObject *rates, double per_flow_hi, double *out)
 {
-    PyObject *rows_in, *fid_o, *ft, *vol_o, *bs_o, *rates;
-    double per_flow_hi;
-    if (!PyArg_ParseTuple(args, "OOOOOOd", &rows_in, &fid_o, &ft,
-                          &vol_o, &bs_o, &rates, &per_flow_hi))
-        return NULL;
-
-    bufs B = {0};
-    PyObject *result = NULL, *fast = NULL;
-    Py_ssize_t ncols, n2, n3;
-    int64_t *fid = bufs_get(&B, fid_o, 'q', &ncols, "flow_id");
-    double *vol = bufs_get(&B, vol_o, 'd', &n2, "volume");
-    double *bs = bufs_get(&B, bs_o, 'd', &n3, "bytes_sent");
-    if (fid == NULL || vol == NULL || bs == NULL)
-        goto done;
-    if (n2 != ncols || n3 != ncols
-        || !PyList_Check(ft) || PyList_GET_SIZE(ft) < ncols) {
-        PyErr_SetString(PyExc_ValueError,
-                        "fastcore: per_flow_transition column mismatch");
-        goto done;
-    }
-    fast = PySequence_Fast(rows_in, "fastcore: rows must be a sequence");
-    if (fast == NULL)
-        goto done;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
-    PyObject **items = PySequence_Fast_ITEMS(fast);
     double best = Py_HUGE_VAL;
     int err = 0;
+    Py_ssize_t n = PyList_GET_SIZE(rows);
     for (Py_ssize_t k = 0; k < n; k++) {
-        Py_ssize_t i = as_row(items[k], ncols, "transition");
+        Py_ssize_t i = as_row(PyList_GET_ITEM(rows, k), ncols, "transition");
         if (i < 0)
-            goto done;
+            return -1;
         if (PyList_GET_ITEM(ft, i) != Py_None)
             continue;
         double rate = rates_get(rates, fid[i], &err);
         if (err)
-            goto done;
+            return -1;
         if (rate <= 0.0)
             continue;
-        double reachable = vol[i] < per_flow_hi ? vol[i] : per_flow_hi;
+        double reachable = per_flow_hi < vol[i] ? per_flow_hi : vol[i];
         if (reachable <= bs[i]) {
             if (bs[i] >= per_flow_hi) {
-                result = PyFloat_FromDouble(0.0);
-                goto done;
+                *out = 0.0;
+                return 0;
             }
             continue;
         }
@@ -2425,10 +2432,302 @@ per_flow_transition(PyObject *self, PyObject *args)
                 best = cand;
         }
     }
-    result = PyFloat_FromDouble(best);
+    *out = best;
+    return 0;
+}
+
+/* queue_targets(coflows, dirty, keep, qmap, table, bs, finite_hi, perflow,
+ *               sent) -> list[(coflow, target)] | None
+ *
+ * Compiled twin of QueueTracker._moves_rows: for every coflow in dirty
+ * (all when dirty is None), in order, the progress metric over its table
+ * rows (coflow._rows) — the total bytes sent (a 0.0-started left fold,
+ * stored in sent[coflow_id]) or the max per-flow bytes (first of equal
+ * values kept) times the width — then bisect_right over the finite queue
+ * thresholds; (coflow, target) is kept when the target exceeds the
+ * coflow's current queue index (qmap) or the coflow is in keep.  None declines
+ * the batch exactly where the reference does: a coflow not attached to
+ * `table` or not in qmap, an empty coflow under the per-flow metric, or a
+ * negative metric (the per-coflow rule then raises). */
+static PyObject *
+queue_targets(PyObject *self, PyObject *args)
+{
+    PyObject *coflows_in, *dirty, *keep, *qmap, *table, *bs_o, *hi_in,
+             *sent;
+    int perflow;
+    if (!PyArg_ParseTuple(args, "OOOO!OOOpO!", &coflows_in, &dirty,
+                          &keep, &PyDict_Type, &qmap, &table,
+                          &bs_o, &hi_in, &perflow, &PyDict_Type, &sent))
+        return NULL;
+    if ((dirty != Py_None && !PyAnySet_Check(dirty))
+        || !PyAnySet_Check(keep)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "fastcore: dirty (or None) and keep must be sets");
+        return NULL;
+    }
+
+    bufs B = {0};
+    PyObject *result = NULL, *fast = NULL, *moves = NULL;
+    PyObject *cid = NULL, *rows = NULL, *tbl = NULL;
+    double *th = NULL;
+    Py_ssize_t ncols;
+    double *bs = bufs_get(&B, bs_o, 'd', &ncols, "bytes_sent");
+    if (bs == NULL)
+        goto done;
+    Py_ssize_t nth = seq_doubles(hi_in, &th,
+                                 "fastcore: thresholds must be a sequence");
+    if (nth < 0)
+        goto done;
+    fast = PySequence_Fast(coflows_in, "fastcore: coflows must be a sequence");
+    if (fast == NULL)
+        goto done;
+    moves = PyList_New(0);
+    if (moves == NULL)
+        goto done;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
+    PyObject **items = PySequence_Fast_ITEMS(fast);
+    for (Py_ssize_t k = 0; k < n; k++) {
+        PyObject *coflow = items[k];
+        cid = PyObject_GetAttr(coflow, str_coflow_id);
+        if (cid == NULL)
+            goto done;
+        if (dirty != Py_None) {
+            int in = PySet_Contains(dirty, cid);
+            if (in < 0)
+                goto done;
+            if (!in) {
+                Py_CLEAR(cid);
+                continue;
+            }
+        }
+        rows = PyObject_GetAttr(coflow, str_rows);
+        if (rows == NULL)
+            goto done;
+        tbl = PyObject_GetAttr(coflow, str_table);
+        if (tbl == NULL)
+            goto done;
+        PyObject *qobj = PyDict_GetItemWithError(qmap, cid);
+        if (qobj == NULL && PyErr_Occurred())
+            goto done;
+        if (rows == Py_None || tbl != table || qobj == NULL)
+            goto decline;
+        Py_ssize_t current = PyLong_AsSsize_t(qobj);
+        if (current == -1 && PyErr_Occurred())
+            goto done;
+        if (!PyList_Check(rows)) {
+            PyErr_SetString(PyExc_TypeError,
+                            "fastcore: coflow rows must be a list");
+            goto done;
+        }
+        Py_ssize_t m = PyList_GET_SIZE(rows);
+        double value;
+        if (perflow) {
+            if (m == 0)
+                goto decline;
+            Py_ssize_t i = as_row(PyList_GET_ITEM(rows, 0), ncols, "queue");
+            if (i < 0)
+                goto done;
+            value = bs[i];
+            for (Py_ssize_t r = 1; r < m; r++) {
+                i = as_row(PyList_GET_ITEM(rows, r), ncols, "queue");
+                if (i < 0)
+                    goto done;
+                if (bs[i] > value)
+                    value = bs[i];
+            }
+            value = value * (double)m;
+        }
+        else {
+            value = 0.0;
+            for (Py_ssize_t r = 0; r < m; r++) {
+                Py_ssize_t i = as_row(PyList_GET_ITEM(rows, r), ncols,
+                                      "queue");
+                if (i < 0)
+                    goto done;
+                value += bs[i];
+            }
+            PyObject *v = PyFloat_FromDouble(value);
+            int rc = v == NULL ? -1 : PyDict_SetItem(sent, cid, v);
+            Py_XDECREF(v);
+            if (rc < 0)
+                goto done;
+        }
+        if (value < 0.0)
+            goto decline;
+        Py_ssize_t lo = 0, hi = nth;
+        while (lo < hi) {
+            Py_ssize_t mid = (lo + hi) / 2;
+            if (value < th[mid])
+                hi = mid;
+            else
+                lo = mid + 1;
+        }
+        int kept = lo > current;
+        if (!kept) {
+            kept = PySet_Contains(keep, cid);
+            if (kept < 0)
+                goto done;
+        }
+        if (kept) {
+            PyObject *move = Py_BuildValue("(On)", coflow, lo);
+            if (move == NULL)
+                goto done;
+            int rc = PyList_Append(moves, move);
+            Py_DECREF(move);
+            if (rc < 0)
+                goto done;
+        }
+        Py_CLEAR(cid);
+        Py_CLEAR(rows);
+        Py_CLEAR(tbl);
+    }
+    result = moves;
+    moves = NULL;
+    goto done;
+
+decline:
+    result = Py_None;
+    Py_INCREF(result);
 
 done:
+    Py_XDECREF(cid);
+    Py_XDECREF(rows);
+    Py_XDECREF(tbl);
+    Py_XDECREF(moves);
     Py_XDECREF(fast);
+    PyMem_Free(th);
+    bufs_release(&B);
+    return result;
+}
+
+/* queue_wakeup(candidates, by_id, pending, qmap, sent, perflow, finite_hi,
+ *              fid, ft, vol, bs, rates, now, floor) -> float | None
+ *
+ * Compiled twin of QueueTracker._earliest_rows: over the candidate coflow
+ * ids, in iteration order, the earliest now + max(dt, floor) for a finite
+ * threshold-crossing gap dt — the total metric's max(hi - sent, 0.0) /
+ * live_rate (sent read from the refresh's cache) or the per-flow
+ * metric's per_flow_crossing at hi / width — folding with min()'s
+ * keep-the-first tie-break.  inf when no candidate crosses.  None
+ * declines the batch where the reference does: a candidate that is not
+ * table-tracked, has no cached metric, no flows or a negative queue. */
+static PyObject *
+queue_wakeup(PyObject *self, PyObject *args)
+{
+    PyObject *cands, *by_id, *pending, *qmap, *sent, *hi_in, *fid_o, *ft,
+             *vol_o, *bs_o, *rates;
+    int perflow;
+    double now, floor_;
+    if (!PyArg_ParseTuple(args, "OO!O!O!O!pOOOOOO!dd", &cands,
+                          &PyDict_Type, &by_id, &PyDict_Type, &pending,
+                          &PyDict_Type, &qmap, &PyDict_Type, &sent,
+                          &perflow, &hi_in, &fid_o, &ft, &vol_o, &bs_o,
+                          &PyDict_Type, &rates, &now, &floor_))
+        return NULL;
+
+    bufs B = {0};
+    PyObject *result = NULL, *it = NULL, *cid = NULL, *flows = NULL;
+    double *th = NULL;
+    Py_ssize_t ncols, n2, n3;
+    int64_t *fid = bufs_get(&B, fid_o, 'q', &ncols, "flow_id");
+    double *vol = bufs_get(&B, vol_o, 'd', &n2, "volume");
+    double *bs = bufs_get(&B, bs_o, 'd', &n3, "bytes_sent");
+    if (fid == NULL || vol == NULL || bs == NULL)
+        goto done;
+    if (n2 != ncols || n3 != ncols
+        || !PyList_Check(ft) || PyList_GET_SIZE(ft) < ncols) {
+        PyErr_SetString(PyExc_ValueError,
+                        "fastcore: queue_wakeup column mismatch");
+        goto done;
+    }
+    Py_ssize_t nth = seq_doubles(hi_in, &th,
+                                 "fastcore: thresholds must be a sequence");
+    if (nth < 0)
+        goto done;
+    it = PyObject_GetIter(cands);
+    if (it == NULL)
+        goto done;
+    double best = Py_HUGE_VAL;
+    while ((cid = PyIter_Next(it)) != NULL) {
+        PyObject *coflow = PyDict_GetItemWithError(by_id, cid);
+        PyObject *rows = coflow ? PyDict_GetItemWithError(pending, cid)
+                                : NULL;
+        PyObject *qobj = rows ? PyDict_GetItemWithError(qmap, cid) : NULL;
+        if (qobj == NULL) {
+            if (PyErr_Occurred())
+                goto done;
+            goto decline;
+        }
+        Py_ssize_t q = PyLong_AsSsize_t(qobj);
+        if (q == -1 && PyErr_Occurred())
+            goto done;
+        if (q >= nth) {
+            Py_CLEAR(cid);
+            continue;
+        }
+        if (q < 0)
+            goto decline;
+        if (!PyList_Check(rows)) {
+            PyErr_SetString(PyExc_TypeError,
+                            "fastcore: pending rows must be a list");
+            goto done;
+        }
+        double hi = th[q], dt;
+        if (perflow) {
+            flows = PyObject_GetAttr(coflow, str_flows);
+            if (flows == NULL)
+                goto done;
+            Py_ssize_t width = PyObject_Size(flows);
+            if (width < 0)
+                goto done;
+            if (width == 0)
+                goto decline;
+            if (per_flow_crossing(rows, fid, ft, vol, bs, ncols, rates,
+                                  hi / (double)width, &dt) < 0)
+                goto done;
+            Py_CLEAR(flows);
+        }
+        else {
+            PyObject *sobj = PyDict_GetItemWithError(sent, cid);
+            if (sobj == NULL) {
+                if (PyErr_Occurred())
+                    goto done;
+                goto decline;
+            }
+            double s = PyFloat_AsDouble(sobj);
+            if (s == -1.0 && PyErr_Occurred())
+                goto done;
+            double total_rate;
+            if (live_rate(rows, fid, ft, ncols, rates, &total_rate) < 0)
+                goto done;
+            if (total_rate <= 0.0) {
+                Py_CLEAR(cid);
+                continue;
+            }
+            double gap = hi - s;
+            dt = (0.0 > gap ? 0.0 : gap) / total_rate;
+        }
+        if (dt < Py_HUGE_VAL) {
+            double c = now + (floor_ > dt ? floor_ : dt);
+            if (c < best)
+                best = c;
+        }
+        Py_CLEAR(cid);
+    }
+    if (PyErr_Occurred())
+        goto done;
+    result = PyFloat_FromDouble(best);
+    goto done;
+
+decline:
+    result = Py_None;
+    Py_INCREF(result);
+
+done:
+    Py_XDECREF(flows);
+    Py_XDECREF(cid);
+    Py_XDECREF(it);
+    PyMem_Free(th);
     bufs_release(&B);
     return result;
 }
@@ -2541,11 +2840,11 @@ static PyMethodDef fastcore_methods[] = {
     {"apply_diff", apply_diff, METH_VARARGS,
      "Rate-application core of _apply_diff."},
     {"aalo_ports", aalo_ports, METH_VARARGS,
-     "Bucket-and-serve round core of AaloScheduler._schedule_rows."},
-    {"total_rate_rows", total_rate_rows, METH_VARARGS,
-     "Summed-live-rate core of next_transition_time (total metric)."},
-    {"per_flow_transition", per_flow_transition, METH_VARARGS,
-     "Threshold-crossing scan of next_transition_time (perflow metric)."},
+     "Bucket-and-serve port service of AaloScheduler._serve_rows."},
+    {"queue_targets", queue_targets, METH_VARARGS,
+     "Batched target-queue core of QueueTracker.moves."},
+    {"queue_wakeup", queue_wakeup, METH_VARARGS,
+     "Batched threshold-crossing scan of QueueTracker.earliest_transition."},
     {"positive_rows", positive_rows, METH_VARARGS,
      "Positive-rate gather of UcTcpScheduler.schedule's row path."},
     {NULL, NULL, 0, NULL},
@@ -2563,5 +2862,12 @@ static struct PyModuleDef fastcore_module = {
 PyMODINIT_FUNC
 PyInit__core(void)
 {
+    str_rows = PyUnicode_InternFromString("_rows");
+    str_table = PyUnicode_InternFromString("_table");
+    str_flows = PyUnicode_InternFromString("flows");
+    str_coflow_id = PyUnicode_InternFromString("coflow_id");
+    if (str_rows == NULL || str_table == NULL || str_flows == NULL
+        || str_coflow_id == NULL)
+        return NULL;
     return PyModule_Create(&fastcore_module);
 }

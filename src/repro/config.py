@@ -48,8 +48,10 @@ class QueueConfig:
                 f"growth_factor must be > 1, got {self.growth_factor}"
             )
         # Finite upper thresholds Q_hi(0..K-2), precomputed so the hot
-        # queue lookup is one bisect (the dataclass is frozen, hence the
-        # object.__setattr__; the cache is derived state, not a field).
+        # queue lookup is one bisect and every threshold read (including
+        # the compiled queue kernels) shares these floats (the dataclass
+        # is frozen, hence the object.__setattr__; the cache is derived
+        # state, not a field).
         object.__setattr__(
             self, "_finite_hi",
             [self.start_threshold * self.growth_factor**q
@@ -61,14 +63,14 @@ class QueueConfig:
         self._check_queue(queue)
         if queue == self.num_queues - 1:
             return math.inf
-        return self.start_threshold * self.growth_factor**queue
+        return self._finite_hi[queue]
 
     def lo_threshold(self, queue: int) -> float:
         """Lower byte threshold ``Q_lo`` of ``queue`` (0 for the first)."""
         self._check_queue(queue)
         if queue == 0:
             return 0.0
-        return self.start_threshold * self.growth_factor ** (queue - 1)
+        return self._finite_hi[queue - 1]
 
     def queue_for_bytes(self, sent_bytes: float) -> int:
         """Queue index whose ``[Q_lo, Q_hi)`` range contains ``sent_bytes``.

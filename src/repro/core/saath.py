@@ -110,13 +110,13 @@ class SaathScheduler(Scheduler):
         incremental = not state.delta.full
         timers = self.timers
         if timers is None:
-            queue_moves = self._assign_queues(state, now, incremental)
+            queue_moves = self._assign_queues(state, now)
             order, starving = self._scheduling_order(
                 state, now, incremental, queue_moves)
             allocation = self._admit(state, order, now)
         else:
             t0 = perf_counter_ns()
-            queue_moves = self._assign_queues(state, now, incremental)
+            queue_moves = self._assign_queues(state, now)
             t1 = perf_counter_ns()
             order, starving = self._scheduling_order(
                 state, now, incremental, queue_moves)
@@ -211,16 +211,11 @@ class SaathScheduler(Scheduler):
         before the next event; everyone else sits still (zero rate on
         every flow ⇒ infinite transition time).
         """
-        best = math.inf
-        for cid in (allocation.scheduled_coflows
-                    | allocation.work_conserved_coflows):
-            coflow = state.coflow(cid)
-            dt = self.tracker.next_transition_time(
-                coflow, allocation.rates,
-                pending_rows=state.pending_rows(coflow),
-            )
-            if dt < math.inf:
-                best = min(best, now + max(dt, 0.0))
+        best = self.tracker.earliest_transition(
+            state,
+            allocation.scheduled_coflows | allocation.work_conserved_coflows,
+            allocation.rates, now, 0.0,
+        )
         if self.config.deadline_factor is not None:
             best = min(best, self.tracker.next_deadline_after(now))
         if not math.isfinite(best) or best <= now:
@@ -233,32 +228,24 @@ class SaathScheduler(Scheduler):
 
     # ---- pieces ------------------------------------------------------------------
 
-    def _assign_queues(self, state: ClusterState, now: float,
-                       incremental: bool) -> set[int]:
+    def _assign_queues(self, state: ClusterState, now: float) -> set[int]:
         """AssignQueue (Fig. 7 line 15): demotions plus §4.3 promotions.
 
         Returns the ids of coflows whose queue changed this round. In
         incremental mode only coflows whose progress metric can have moved
         (arrived, progressed, or lost a flow since the last round) are
         revisited — for everyone else the demotion-only rule guarantees the
-        target queue is unchanged, so skipping them is exact.
+        target queue is unchanged, so skipping them is exact (see
+        :meth:`QueueTracker.moves`).
         """
         moved: set[int] = set()
-        if incremental:
-            delta = state.delta
-            dirty = delta.arrived | delta.progressed | delta.flow_completed
-            # Walk in active order, not set order: deadline assignment
-            # depends on queue populations at placement time, so the visit
-            # order must match the full-recompute path exactly.
-            coflows = [c for c in state.active_coflows
-                       if c.coflow_id in dirty]
-        else:
-            coflows = state.active_coflows
-        for coflow in coflows:
-            if coflow.coflow_id in self._dynamics_mode:
+        tracker = self.tracker
+        dynamics = self._dynamics_mode
+        for coflow, target in tracker.moves(state, keep=dynamics):
+            if coflow.coflow_id in dynamics:
                 if self._apply_promotion(coflow, now):
                     moved.add(coflow.coflow_id)
-            elif self.tracker.refresh(coflow, now):
+            elif tracker.demote(coflow, target, now):
                 moved.add(coflow.coflow_id)
         return moved
 

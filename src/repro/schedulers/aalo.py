@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from operator import attrgetter
+from time import perf_counter_ns
 
 from .._fastcore import core as _core
 from ..config import SimulationConfig
@@ -62,10 +64,10 @@ class AaloScheduler(Scheduler):
         #: coflow_id -> arrival order index, the FIFO key at every port.
         self._arrival_order: dict[int, int] = {}
         self._arrival_counter = 0
-        #: coflow_id -> True when its flow list already carries ascending
-        #: flow ids (always the case for generated workloads); checked once
-        #: at arrival so the per-round gather can skip re-sorting.
-        self._id_sorted: dict[int, bool] = {}
+        #: Active coflows whose flow list does not carry ascending flow ids
+        #: (never the case for generated workloads); checked once at
+        #: arrival so the per-round gather re-sorts only these.
+        self._unsorted: set[int] = set()
 
     # ---- lifecycle ------------------------------------------------------------
 
@@ -74,139 +76,149 @@ class AaloScheduler(Scheduler):
         self._arrival_order[coflow.coflow_id] = self._arrival_counter
         self._arrival_counter += 1
         flows = coflow.flows
-        self._id_sorted[coflow.coflow_id] = all(
-            flows[i].flow_id <= flows[i + 1].flow_id
-            for i in range(len(flows) - 1)
-        )
+        if not all(flows[i].flow_id <= flows[i + 1].flow_id
+                   for i in range(len(flows) - 1)):
+            self._unsorted.add(coflow.coflow_id)
 
     def on_coflow_completion(self, coflow: CoFlow, now: float) -> None:
         self.tracker.remove(coflow)
         self._arrival_order.pop(coflow.coflow_id, None)
-        self._id_sorted.pop(coflow.coflow_id, None)
+        self._unsorted.discard(coflow.coflow_id)
 
     # ---- scheduling -------------------------------------------------------------
 
     def schedule(self, state: ClusterState, now: float) -> Allocation:
-        # Total-bytes demotions only fire when a coflow moved bytes, so
-        # incremental rounds revisit just the engine's dirty set; full
-        # rounds (first round, dynamics) rescan.
-        if not state.delta.full:
-            delta = state.delta
-            dirty = delta.arrived | delta.progressed | delta.flow_completed
-            # Visit in active order so deadline bookkeeping (which reads
-            # queue populations at placement time) matches the full path.
-            for coflow in state.active_coflows:
-                if coflow.coflow_id in dirty:
-                    self.tracker.refresh(coflow, now)
-        else:
-            for coflow in state.active_coflows:
-                self.tracker.refresh(coflow, now)
-
-        # Gather schedulable flows per sender port, already in local
-        # priority order: sorting the *coflows* once by (queue, FIFO) and
-        # emitting their flows in flow-id order yields exactly the per-port
-        # (queue, fifo, flow_id) order the ports serve in — each coflow has
-        # a unique FIFO index and its flows carry ascending ids — without
-        # building or sorting a key tuple per flow. Flows are bucketed into
-        # equal-queue runs directly, so the per-port pass needn't re-slice.
-        queue_of = self.tracker.queue_of
-        arrival_order = self._arrival_order
-        # Path-aware states stay on the object path: every grant below goes
+        # Path-aware states stay on the object path: every grant there goes
         # through ledger.fill_capped, which a LinkLedger bounds by (and
         # charges to) the flow's whole link path — the row path's inlined
         # port-only fill would ignore core links.
-        if state.paths is None and state.rows_tracked():
-            return self._schedule_rows(state, now)
-        ordered = sorted(
-            state.active_coflows,
-            key=lambda c: (queue_of(c), arrival_order[c.coflow_id]),
-        )
-        per_sender: dict[int, list[tuple[int, list[Flow]]]] = defaultdict(list)
-        for coflow in ordered:
-            queue = queue_of(coflow)
-            flows = state.schedulable_flows(coflow, now)
-            if not self._id_sorted.get(coflow.coflow_id, True):
-                flows.sort(key=lambda f: f.flow_id)
-            for f in flows:
-                runs = per_sender[f.src]
+        timers = self.timers
+        if timers is None:
+            self._assign_queues(state, now)
+            tracked = state.paths is None and state.rows_tracked()
+            ids, groups = self._gather(state, now, tracked)
+            return self._admit(state, ids, groups, tracked)
+        t0 = perf_counter_ns()
+        self._assign_queues(state, now)
+        t1 = perf_counter_ns()
+        tracked = state.paths is None and state.rows_tracked()
+        ids, groups = self._gather(state, now, tracked)
+        t2 = perf_counter_ns()
+        allocation = self._admit(state, ids, groups, tracked)
+        timers.add("schedule.assign", t1 - t0)
+        timers.add("schedule.order", t2 - t1)
+        timers.add("schedule.admit", perf_counter_ns() - t2)
+        return allocation
+
+    def _assign_queues(self, state: ClusterState, now: float) -> None:
+        """Total-bytes demotions (D3 with Aalo's metric): they only fire
+        when a coflow moved bytes, so incremental rounds revisit just the
+        engine's dirty set (see :meth:`QueueTracker.moves`)."""
+        tracker = self.tracker
+        for coflow, target in tracker.moves(state):
+            tracker.demote(coflow, target, now)
+
+    def _gather(self, state: ClusterState, now: float,
+               tracked: bool) -> tuple[list[int], list[list]]:
+        """Schedulable flows per coflow, gathered in active order.
+
+        Returns parallel lists of coflow ids and their table rows
+        (``tracked``: one batched gather) or :class:`Flow` lists, each in
+        flow-id order (re-sorted for the rare coflow whose flows do not
+        carry ascending ids); coflows with nothing schedulable are left
+        out. The ports' (queue, FIFO) coflow order is applied when they
+        are served (:meth:`_per_sender`).
+        """
+        if tracked:
+            ids, groups, _ = state.schedulable_groups(
+                state.active_coflows, now, counts=False)
+            flow_id = state.table.flow_id.__getitem__
+        else:
+            ids, groups = [], []
+            for coflow in state.active_coflows:
+                flows = state.schedulable_flows(coflow, now)
+                if flows:
+                    ids.append(coflow.coflow_id)
+                    groups.append(flows)
+            flow_id = attrgetter("flow_id")
+        unsorted = self._unsorted
+        if unsorted:
+            for k, cid in enumerate(ids):
+                if cid in unsorted:
+                    # A new list: row groups may be live caches.
+                    groups[k] = sorted(groups[k], key=flow_id)
+        return ids, groups
+
+    def _per_sender(self, ids: list[int], groups: list[list],
+                    src_of) -> dict[int, list[tuple[int, list]]]:
+        """Each sender port's flows (table rows or :class:`Flow` objects,
+        whose sender ``src_of`` reads) sliced into runs of equal queue, in
+        service order.
+
+        Emitting the coflows in (queue, FIFO) order, each coflow's flows
+        in flow-id order, yields exactly the per-port (queue, fifo,
+        flow_id) order the ports serve in, without a key per flow. FIFO
+        indices are unique, so the order is total.
+        """
+        qmap = self.tracker.queue_map
+        fifo = self._arrival_order
+        per_sender: dict[int, list[tuple[int, list]]] = defaultdict(list)
+        for k in sorted(range(len(ids)),
+                        key=lambda k: (qmap[ids[k]], fifo[ids[k]])):
+            queue = qmap[ids[k]]
+            for f in groups[k]:
+                runs = per_sender[src_of(f)]
                 if not runs or runs[-1][0] != queue:
                     runs.append((queue, [f]))
                 else:
                     runs[-1][1].append(f)
+        return per_sender
 
+    def _admit(self, state: ClusterState, ids: list[int], groups: list[list],
+               tracked: bool) -> Allocation:
+        """Serve every sender port from a fresh ledger."""
         ledger = state.acquire_ledger()
         allocation = Allocation()
+        if tracked:
+            self._serve_rows(ids, groups, state.table, ledger, allocation)
+            return allocation
+        per_sender = self._per_sender(ids, groups, attrgetter("src"))
         # Ports act independently; a deterministic port order stands in for
         # the real system's races on receiver capacity.
         for port in sorted(per_sender):
             self._allocate_port(port, per_sender[port], ledger, allocation)
         return allocation
 
-    def _schedule_rows(self, state: ClusterState, now: float) -> Allocation:
-        """Row-path round: bucket table rows per sender, serve each port.
+    def _serve_rows(self, ids: list[int], groups: list[list[int]], table,
+                    ledger, allocation: Allocation) -> None:
+        """Row-path port service: bucket rows per sender, serve each port.
 
-        Same (queue, fifo, flow_id) service order as the object path — rows
-        are emitted per coflow in flow order (ascending ids, re-sorted via
-        the table otherwise) — with the per-flow attribute reads replaced
-        by integer-indexed column reads. The (queue, FIFO) coflow ordering
-        is a plain tuple sort (no key lambda): FIFO indices are unique, so
-        the trailing coflow object never gets compared.
+        Same grants, in the same order, as the object path, with flow
+        identity and ports read from the table columns. The compiled
+        ``aalo_ports`` does the (queue, FIFO) ordering, the per-port
+        bucketing (CSR over senders) and both allocation passes; only the
+        exact PortLedger layout qualifies. When a tracer wants port-level
+        events the round runs on the bit-identical Python twin instead,
+        so per-grant state is visible.
         """
-        table = state.table
-        src_col = table.src
-        fid = table.flow_id
-        qmap = self.tracker.queue_map
-        arrival_order = self._arrival_order
-        id_sorted = self._id_sorted
-        decorated = [
-            (qmap[c.coflow_id], arrival_order[c.coflow_id], c)
-            for c in state.active_coflows
-        ]
-        decorated.sort()
-        ledger = state.acquire_ledger()
-        # Compiled round core: same flatten-and-serve, with the per-port
-        # bucketing (CSR over senders) and both allocation passes in C.
-        # Only the exact PortLedger layout qualifies (paths is None here,
-        # so that is always the case unless a subclass overrides it).
-        # When a tracer wants port-level events this round runs on the
-        # bit-identical Python twin instead, so per-grant state is visible.
         tracer = self.tracer
         if (table.fastcore and _core is not None
                 and type(ledger) is PortLedger
                 and not (tracer is not None
                          and tracer.forces_python_kernels)):
-            coflow_runs = []
-            for queue, _, coflow in decorated:
-                rows = state.schedulable_rows(coflow, now)
-                if not id_sorted.get(coflow.coflow_id, True):
-                    rows = sorted(rows, key=lambda i: fid[i])
-                coflow_runs.append((queue, rows))
-            allocation = Allocation()
             if self.metrics is not None:
                 self.metrics.inc("kernel.aalo_ports.fastcore")
             _core.aalo_ports(
-                coflow_runs, self._queue_weight,
+                ids, groups, self.tracker.queue_map, self._arrival_order,
+                self._queue_weight,
                 table.src, table.dst, table.flow_id, table.coflow_id,
                 ledger.capacity_list, ledger.used_list, ledger.touched_set,
                 allocation.rates, allocation.scheduled_coflows,
             )
-            return allocation
+            return
         if self.metrics is not None:
             self.metrics.inc("kernel.aalo_ports.python")
-        per_sender: dict[int, list[tuple[int, list[int]]]] = defaultdict(list)
-        for queue, _, coflow in decorated:
-            rows = state.schedulable_rows(coflow, now)
-            if not id_sorted.get(coflow.coflow_id, True):
-                # Copy before ordering: the row list may be the live cache.
-                rows = sorted(rows, key=lambda i: fid[i])
-            for i in rows:
-                runs = per_sender[src_col[i]]
-                if not runs or runs[-1][0] != queue:
-                    runs.append((queue, [i]))
-                else:
-                    runs[-1][1].append(i)
-
-        allocation = Allocation()
+        per_sender = self._per_sender(ids, groups, table.src.__getitem__)
         # Hoisted once per round: the ledger's dense lists and the table
         # columns the per-port pass indexes (property/attribute fetches per
         # port call used to add up across thousands of rounds).
@@ -221,7 +233,6 @@ class AaloScheduler(Scheduler):
         )
         for port in sorted(per_sender):
             self._allocate_port_rows(port, per_sender[port], lists)
-        return allocation
 
     def _allocate_port_rows(self, port: int,
                             runs: list[tuple[int, list[int]]],
@@ -382,13 +393,6 @@ class AaloScheduler(Scheduler):
         Zero-rate coflows cannot cross a total-bytes threshold, so only
         this round's scheduled coflows are candidates.
         """
-        best = math.inf
-        for cid in allocation.scheduled_coflows:
-            coflow = state.coflow(cid)
-            dt = self.tracker.next_transition_time(
-                coflow, allocation.rates,
-                pending_rows=state.pending_rows(coflow),
-            )
-            if dt < math.inf:
-                best = min(best, now + max(dt, 1e-9))
+        best = self.tracker.earliest_transition(
+            state, allocation.scheduled_coflows, allocation.rates, now, 1e-9)
         return best if math.isfinite(best) else None

@@ -11,16 +11,60 @@ Two transition metrics are supported, selected by the owner:
 * ``"total"``  — Aalo: total bytes sent by the coflow vs ``Q_hi``.
 * ``"perflow"`` — Saath: max bytes sent by any flow vs ``Q_hi / width``
   (Eq. 1, §4.2 D3).
+
+Each round's queue work is two batched calls over the flow table:
+:meth:`QueueTracker.moves` (the target queue of every dirty coflow) and
+:meth:`QueueTracker.earliest_transition` (the next threshold crossing over
+the round's rated coflows), compiled as ``queue_targets`` /
+``queue_wakeup`` in :mod:`repro._fastcore`. The per-coflow
+:meth:`~QueueTracker.refresh` / :meth:`~QueueTracker.next_transition_time`
+stay as their reference and as the path for states whose coflows are not
+table-attached.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 from .._fastcore import core as _core
 from ..config import SimulationConfig
 from ..errors import SchedulerError
-from ..simulator.flows import CoFlow
+from ..simulator.flows import CoFlow, left_sum
+
+#: The empty ``keep`` set of :meth:`QueueTracker.moves`.
+_NO_KEEP: frozenset[int] = frozenset()
+
+
+def _live_rate(rows, fid, ft, rates_get) -> float:
+    """Summed rate of the unfinished ``rows`` (the "total" metric's
+    crossing speed), folded in row order."""
+    return left_sum([rates_get(fid[i], 0.0) for i in rows if ft[i] is None])
+
+
+def _per_flow_crossing(rows, fid, ft, vol, bs, rates_get,
+                       per_flow_hi: float) -> float:
+    """Seconds until the first unfinished row reaches ``per_flow_hi``
+    (``0.0`` when one already has, ``inf`` when none will)."""
+    best = math.inf
+    for i in rows:
+        if ft[i] is not None:
+            continue
+        rate = rates_get(fid[i], 0.0)
+        if rate <= 0:
+            continue
+        # A flow cannot push bytes_sent beyond its volume; crossing only
+        # happens if the threshold is reachable within it.
+        reachable = min(vol[i], per_flow_hi)
+        if reachable <= bs[i]:
+            # Already at/over the reachable point: if it is the true
+            # threshold, the transition is immediate on next refresh.
+            if bs[i] >= per_flow_hi:
+                return 0.0
+            continue
+        if per_flow_hi <= vol[i]:
+            best = min(best, (per_flow_hi - bs[i]) / rate)
+    return best
 
 
 class QueueTracker:
@@ -45,6 +89,11 @@ class QueueTracker:
         #: queue index -> number of resident coflows (kept incrementally so
         #: deadline assignment is O(1) instead of an O(coflows) scan).
         self._population: dict[int, int] = {}
+        #: coflow_id -> total bytes sent when its target queue was last
+        #: computed ("total" metric only). Exact between refreshes: a
+        #: coflow's bytes only move in rounds that mark it dirty, and every
+        #: dirty coflow is refreshed before the round's wakeup scan.
+        self._sent: dict[int, float] = {}
 
     # ---- membership ---------------------------------------------------------
 
@@ -58,6 +107,7 @@ class QueueTracker:
             self._population[queue] -= 1
         self._entered.pop(coflow.coflow_id, None)
         self._deadline.pop(coflow.coflow_id, None)
+        self._sent.pop(coflow.coflow_id, None)
 
     def queue_of(self, coflow: CoFlow) -> int:
         try:
@@ -78,34 +128,102 @@ class QueueTracker:
     def deadline_of(self, coflow: CoFlow) -> float:
         return self._deadline.get(coflow.coflow_id, math.inf)
 
-    def tracked_ids(self) -> set[int]:
-        return set(self._queue)
-
     def population(self, queue: int) -> int:
         """Number of tracked coflows currently in ``queue``."""
         return self._population.get(queue, 0)
 
     # ---- transitions ----------------------------------------------------------
 
-    def metric_value(self, coflow: CoFlow) -> float:
-        """Progress metric compared against thresholds (see module doc)."""
-        if self.metric == "total":
-            return coflow.bytes_sent
-        return coflow.max_flow_bytes_sent
-
     def target_queue(self, coflow: CoFlow) -> int:
         """Queue the coflow *should* be in given its progress metric.
 
         Queues are demotion-only here (progress only grows); §4.3 promotion
         is applied by Saath's dynamics handler, which calls
-        :meth:`force_queue` explicitly.
+        :meth:`force_queue` explicitly. The total-bytes metric is kept for
+        :meth:`earliest_transition`.
         """
         qcfg = self.config.queues
         if self.metric == "total":
-            return qcfg.queue_for_bytes(coflow.bytes_sent)
+            sent = coflow.bytes_sent
+            self._sent[coflow.coflow_id] = sent
+            return qcfg.queue_for_bytes(sent)
         return qcfg.queue_for_per_flow_bytes(
             coflow.max_flow_bytes_sent, coflow.width
         )
+
+    def moves(self, state, keep: "set[int] | frozenset[int] | None" = None,
+              ) -> list[tuple[CoFlow, int]]:
+        """``(coflow, target queue)`` for every coflow :meth:`refresh`
+        would move this round, plus every visited coflow in ``keep``.
+
+        Visits the active coflows whose progress can have moved since the
+        last round — all of them on full rounds, else the engine delta's
+        arrived / progressed / flow-completed set — in active order, the
+        order callers must apply the moves in (deadlines read queue
+        populations at placement time). A target depends on progress
+        only, never on queue state, so batching the targets ahead of the
+        placements is exact. Table-attached coflows take one pass over
+        the ``bytes_sent`` column, compiled as ``queue_targets`` when
+        ``table.fastcore`` (the kernel leaves a batch holding any other
+        coflow to :meth:`_moves_rows`).
+        """
+        delta = state.delta
+        dirty = (None if delta.full
+                 else delta.arrived | delta.progressed | delta.flow_completed)
+        table = state.table
+        perflow = self.metric == "perflow"
+        keep = keep if keep is not None else _NO_KEEP
+        if table.fastcore and _core is not None:
+            if self.metrics is not None:
+                self.metrics.inc("kernel.queue_targets.fastcore")
+            moves = _core.queue_targets(
+                state.active_coflows, dirty, keep, self._queue, table,
+                table.bytes_sent, self.config.queues._finite_hi, perflow,
+                self._sent,
+            )
+            if moves is not None:
+                return moves
+        elif self.metrics is not None:
+            self.metrics.inc("kernel.queue_targets.python")
+        return self._moves_rows(state.active_coflows, dirty, keep, table,
+                                perflow)
+
+    def _moves_rows(self, coflows: list[CoFlow], dirty: "set[int] | None",
+                    keep: "set[int] | frozenset[int]", table,
+                    perflow: bool) -> list[tuple[CoFlow, int]]:
+        """Python reference of the ``queue_targets`` kernel. Coflows the
+        kernel cannot take — not attached to ``table``, or with an invalid
+        metric that the per-coflow rule must reject — go through
+        :meth:`target_queue`."""
+        finite_hi = self.config.queues._finite_hi
+        bs = table.bytes_sent
+        sent_map = self._sent
+        moves = []
+        for coflow in coflows:
+            cid = coflow.coflow_id
+            if dirty is not None and cid not in dirty:
+                continue
+            rows = coflow._rows
+            if (rows is None or coflow._table is not table
+                    or (perflow and not rows)):
+                target = self.target_queue(coflow)
+            else:
+                if perflow:
+                    # max() keeps the first of equal values, as
+                    # CoFlow.max_flow_bytes_sent does; width == len(rows).
+                    value = max([bs[i] for i in rows]) * len(rows)
+                else:
+                    value = left_sum([bs[i] for i in rows])
+                    sent_map[cid] = value
+                if value < 0:
+                    target = self.target_queue(coflow)  # raises
+                else:
+                    # queue_for_bytes: the start-threshold shortcut and the
+                    # bisect agree (finite_hi[0] is the start threshold).
+                    target = bisect_right(finite_hi, value)
+            if target > self.queue_of(coflow) or cid in keep:
+                moves.append((coflow, target))
+        return moves
 
     def refresh(self, coflow: CoFlow, now: float) -> bool:
         """Move the coflow to its target queue if it crossed a threshold.
@@ -113,9 +231,12 @@ class QueueTracker:
         Returns True if the queue changed. Demotion-only (never moves a
         coflow to a higher-priority queue; see :meth:`force_queue`).
         """
-        current = self.queue_of(coflow)
-        target = self.target_queue(coflow)
-        if target > current:
+        return self.demote(coflow, self.target_queue(coflow), now)
+
+    def demote(self, coflow: CoFlow, target: int, now: float) -> bool:
+        """:meth:`refresh` with the target queue already computed
+        (:meth:`moves`)."""
+        if target > self.queue_of(coflow):
             self._place(coflow, target, now)
             return True
         return False
@@ -143,91 +264,108 @@ class QueueTracker:
         unfinished table rows (the cluster state's pending cache) — the
         finished-flow filter below skips exactly the dropped rows, so the
         scan order over surviving flows (and every float) is unchanged.
+        This is the per-coflow reference of :meth:`earliest_transition`.
         """
         qcfg = self.config.queues
         current = self.queue_of(coflow)
         if current >= qcfg.num_queues - 1:
             return math.inf
         hi = qcfg.hi_threshold(current)
-        rates_get = rates.get
         rows = pending_rows if pending_rows is not None else coflow._rows
+        if rows is not None:
+            # Rows are in ``flows`` order: same walk, same floats.
+            tbl = coflow._table
+            fid, ft = tbl.flow_id, tbl.finish_time
+            vol, bs = tbl.volume, tbl.bytes_sent
+        else:
+            # A coflow off the flow table: the same walk over its flows.
+            flows = coflow.flows
+            rows = range(len(flows))
+            fid = [f.flow_id for f in flows]
+            ft = [f.finish_time for f in flows]
+            vol = [f.volume for f in flows]
+            bs = [f.bytes_sent for f in flows]
         if self.metric == "total":
-            if rows is not None:
-                # Row path: the rates lookup and liveness filter walk the
-                # flow table columns (rows are in ``flows`` order, so the
-                # accumulation order — and the sum — is unchanged).
-                tbl = coflow._table
-                ft = tbl.finish_time
-                fid = tbl.flow_id
-                if tbl.fastcore and _core is not None:
-                    if self.metrics is not None:
-                        self.metrics.inc("kernel.total_rate_rows.fastcore")
-                    total_rate = _core.total_rate_rows(rows, fid, ft, rates)
-                else:
-                    total_rate = sum(
-                        [rates_get(fid[i], 0.0)
-                         for i in rows if ft[i] is None]
-                    )
-            else:
-                total_rate = sum(
-                    [rates_get(f.flow_id, 0.0) for f in coflow.flows
-                     if f.finish_time is None]
-                )
+            total_rate = _live_rate(rows, fid, ft, rates.get)
             if total_rate <= 0:
                 return math.inf
             gap = hi - coflow.bytes_sent
             return max(gap, 0.0) / total_rate
         # Per-flow metric: first flow to reach hi / width.
-        per_flow_hi = hi / coflow.width
+        return _per_flow_crossing(rows, fid, ft, vol, bs, rates.get,
+                                  hi / coflow.width)
+
+    def earliest_transition(self, state, candidates, rates: dict[int, float],
+                            now: float, floor: float) -> float:
+        """Earliest ``now + max(dt, floor)`` over the ``candidates`` (coflow
+        ids) whose :meth:`next_transition_time` ``dt`` is finite; ``inf``
+        when there is none.
+
+        One batched pass over the flow table, compiled as ``queue_wakeup``
+        when ``table.fastcore`` (the kernel leaves a batch holding an
+        untracked candidate to :meth:`_earliest_rows`). The total-bytes
+        metric comes from the round's refresh (:meth:`moves`) instead of
+        being summed again. Both fold ``min`` in candidate order.
+        """
+        table = state.table
+        if table.fastcore and _core is not None:
+            if self.metrics is not None:
+                self.metrics.inc("kernel.queue_wakeup.fastcore")
+            best = _core.queue_wakeup(
+                candidates, state.coflow_map, state.pending_row_map,
+                self._queue, self._sent, self.metric == "perflow",
+                self.config.queues._finite_hi, table.flow_id,
+                table.finish_time, table.volume, table.bytes_sent, rates,
+                now, floor,
+            )
+            if best is not None:
+                return best
+        elif self.metrics is not None:
+            self.metrics.inc("kernel.queue_wakeup.python")
+        return self._earliest_rows(state, candidates, rates, now, floor)
+
+    def _earliest_rows(self, state, candidates, rates: dict[int, float],
+                       now: float, floor: float) -> float:
+        """Python reference of the ``queue_wakeup`` kernel. Candidates the
+        kernel cannot take — not table-tracked, or with no cached
+        total-bytes metric — go through :meth:`next_transition_time`."""
+        table = state.table
+        fid = table.flow_id
+        ft = table.finish_time
+        vol = table.volume
+        bs = table.bytes_sent
+        by_id = state.coflow_map
+        pending = state.pending_row_map
+        queue = self._queue
+        sent_map = self._sent
+        perflow = self.metric == "perflow"
+        finite_hi = self.config.queues._finite_hi
+        last = len(finite_hi)
+        rates_get = rates.get
         best = math.inf
-        if rows is not None:
-            tbl = coflow._table
-            ft = tbl.finish_time
-            fid = tbl.flow_id
-            vol = tbl.volume
-            bs = tbl.bytes_sent
-            if tbl.fastcore and _core is not None:
-                if self.metrics is not None:
-                    self.metrics.inc("kernel.per_flow_transition.fastcore")
-                return _core.per_flow_transition(
-                    rows, fid, ft, vol, bs, rates, per_flow_hi
-                )
-            for i in rows:
-                if ft[i] is not None:
-                    continue
-                rate = rates_get(fid[i], 0.0)
-                if rate <= 0:
-                    continue
-                # A flow cannot push bytes_sent beyond its volume; crossing
-                # only happens if the threshold is reachable within it.
-                reachable = min(vol[i], per_flow_hi)
-                if reachable <= bs[i]:
-                    # Already at/over the reachable point: if it is the
-                    # true threshold, the transition is immediate on next
-                    # refresh.
-                    if bs[i] >= per_flow_hi:
-                        return 0.0
-                    continue
-                if per_flow_hi <= vol[i]:
-                    best = min(best, (per_flow_hi - bs[i]) / rate)
-            return best
-        for f in coflow.flows:
-            if f.finish_time is not None:
+        for cid in candidates:
+            coflow = by_id.get(cid)
+            rows = pending.get(cid)
+            current = queue.get(cid)
+            sent = None if perflow else sent_map.get(cid)
+            if (coflow is None or rows is None or current is None
+                    or current < 0
+                    or (not coflow.flows if perflow else sent is None)):
+                coflow = state.coflow(cid)
+                dt = self.next_transition_time(
+                    coflow, rates, pending_rows=state.pending_rows(coflow))
+            elif current >= last:
                 continue
-            rate = rates_get(f.flow_id, 0.0)
-            if rate <= 0:
-                continue
-            # A flow cannot push bytes_sent beyond its volume; crossing only
-            # happens if the threshold is reachable within the flow.
-            reachable = min(f.volume, per_flow_hi)
-            if reachable <= f.bytes_sent:
-                # Already at/over the reachable point: if it is the true
-                # threshold, the transition is immediate on next refresh.
-                if f.bytes_sent >= per_flow_hi:
-                    return 0.0
-                continue
-            if per_flow_hi <= f.volume:
-                best = min(best, (per_flow_hi - f.bytes_sent) / rate)
+            elif perflow:
+                dt = _per_flow_crossing(rows, fid, ft, vol, bs, rates_get,
+                                        finite_hi[current] / len(coflow.flows))
+            else:
+                total_rate = _live_rate(rows, fid, ft, rates_get)
+                if total_rate <= 0:
+                    continue
+                dt = max(finite_hi[current] - sent, 0.0) / total_rate
+            if dt < math.inf:
+                best = min(best, now + max(dt, floor))
         return best
 
     # ---- starvation deadlines (§4.2 D5) --------------------------------------

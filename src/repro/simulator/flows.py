@@ -24,9 +24,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Iterable, Iterator
 
 from ..errors import ConfigError
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """``((0.0 + v0) + v1) + ...``, folded left to right.
+
+    What ``sum`` computes for floats up to CPython 3.11 (3.12 switched to
+    compensated summation), and what the compiled kernels replicate: sums
+    they twin use this so every interpreter version gets the same bits.
+    """
+    return reduce(add, values, 0.0)
 
 
 class Flow:
@@ -290,15 +302,13 @@ class CoFlow:
     @property
     def bytes_sent(self) -> float:
         """Total bytes sent across all flows (Aalo's queue metric)."""
-        # List comprehension + C-level sum: same accumulation order and
-        # floats as the generator form, without the frame switching. The
-        # attached path reads the flow-table column directly (rows are in
-        # ``flows`` order, so the accumulation order is unchanged).
+        # The attached path reads the flow-table column directly (rows are
+        # in ``flows`` order, so the accumulation order is unchanged).
         rows = self._rows
         if rows is not None:
             bs = self._table.bytes_sent
-            return sum([bs[i] for i in rows])
-        return sum([f.bytes_sent for f in self.flows])
+            return left_sum([bs[i] for i in rows])
+        return left_sum([f.bytes_sent for f in self.flows])
 
     @property
     def max_flow_bytes_sent(self) -> float:

@@ -198,7 +198,9 @@ _KEEP_SINK = object()
 #: On-disk checkpoint format version. Bump on any change to the snapshot
 #: payload layout that old readers cannot interpret; :meth:`load` refuses
 #: mismatched versions with a clear error instead of unpickling garbage.
-CHECKPOINT_FORMAT = 2
+#: (3: the queue tracker caches each coflow's total-bytes metric, and Aalo
+#: keeps the set of coflows whose flows need an id sort.)
+CHECKPOINT_FORMAT = 3
 
 _CHECKPOINT_MAGIC = "repro-checkpoint"
 
@@ -1521,7 +1523,14 @@ class SimulationSession:
             self._trace_round(allocation)
         if self._observer is not None:
             self._observer.on_schedule(self.state, allocation, self._now)
-        wakeup = self.scheduler.next_wakeup(self.state, allocation, self._now)
+        if timers is None:
+            wakeup = self.scheduler.next_wakeup(self.state, allocation,
+                                                self._now)
+        else:
+            _t0 = perf_counter_ns()
+            wakeup = self.scheduler.next_wakeup(self.state, allocation,
+                                                self._now)
+            timers.add("wakeup", perf_counter_ns() - _t0)
         # Sub-nanosecond wakeups cannot advance float64 time at realistic
         # clock values; dropping them avoids reschedule storms.
         if wakeup is not None and wakeup > self._now + 1e-9:

@@ -382,6 +382,18 @@ class ClusterState:
                 return False
         return True
 
+    @property
+    def coflow_map(self) -> dict[int, CoFlow]:
+        """Live ``coflow_id → active coflow`` map of the engine-notified
+        coflows (read-only by convention; empty for hand-built states)."""
+        return self._by_id
+
+    @property
+    def pending_row_map(self) -> dict[int, list[int]]:
+        """Live ``coflow_id →`` pending-row cache (see :meth:`pending_rows`;
+        read-only by convention)."""
+        return self._pending_rows
+
     def pending_rows(self, coflow: CoFlow) -> list[int] | None:
         """Table rows of the coflow's pending flows, or ``None`` when the
         coflow is not table-tracked (hand-assembled state).
@@ -466,15 +478,16 @@ class ClusterState:
         return self.pending_port_counts(coflow)
 
     def schedulable_groups(
-        self, coflows: Iterable[CoFlow], now: float
-    ) -> tuple[list[int], list[list[int]], list[dict[int, int] | None]]:
+        self, coflows: Iterable[CoFlow], now: float, *, counts: bool = True,
+    ) -> tuple[list[int], list[list[int]], list[dict[int, int] | None] | None]:
         """:meth:`schedulable_rows` and :meth:`port_counts` for many coflows.
 
         Returns parallel lists ``(coflow ids, rows, port counts)`` over the
         coflows, in order, that have a schedulable row at ``now``; coflows
-        with none are left out. Every coflow must be table-tracked
-        (:meth:`rows_tracked`). Rows may be live caches, as with
-        :meth:`schedulable_rows`.
+        with none are left out. With ``counts=False`` the port counts are
+        not gathered and ``None`` stands in for their list. Every coflow
+        must be table-tracked (:meth:`rows_tracked`). Rows may be live
+        caches, as with :meth:`schedulable_rows`.
         """
         pending = self._pending_rows
         max_avail = self._max_avail
@@ -483,7 +496,8 @@ class ClusterState:
         avail = self.table.available_time
         ids: list[int] = []
         groups: list[list[int]] = []
-        group_counts: list[dict[int, int] | None] = []
+        group_counts: list[dict[int, int] | None] | None = (
+            [] if counts else None)
         for coflow in coflows:
             cid = coflow.coflow_id
             rows = pending[cid]
@@ -494,16 +508,18 @@ class ClusterState:
                 rows = [i for i in rows if avail[i] <= now]
                 if not rows:
                     continue
-                counts = None
+                if counts:
+                    group_counts.append(None)
             else:
                 if not rows:
                     continue
-                counts = cached_counts.get(cid)
-                if counts is None:
-                    counts = self.pending_port_counts(coflow)
+                if counts:
+                    port_counts = cached_counts.get(cid)
+                    if port_counts is None:
+                        port_counts = self.pending_port_counts(coflow)
+                    group_counts.append(port_counts)
             ids.append(cid)
             groups.append(rows)
-            group_counts.append(counts)
         return ids, groups, group_counts
 
     def pending_port_counts(self, coflow: CoFlow) -> dict[int, int]:

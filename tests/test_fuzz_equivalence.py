@@ -39,7 +39,12 @@ same trials with ``table.fastcore`` set, routing the row forms through the
 compiled kernels — they skip cleanly when the extension is not built.
 The ``saath-round`` legs fuzz Saath's whole big-switch admission round
 (:func:`~repro.simulator.ratealloc.saath_round_rows`, Python reference and
-compiled ``saath_round``) against the scheduler's object-path round.
+compiled ``saath_round``) against the scheduler's object-path round. The
+``aalo-round`` legs do the same for Aalo's row round (``aalo_ports`` and
+the ``_allocate_port_rows`` twin against ``_allocate_port``), and the
+``queue-refresh`` / ``queue-wakeup`` legs pin the batched queue-threshold
+layer (``queue_targets`` / ``queue_wakeup`` and their Python references)
+to the per-coflow ``refresh`` / ``next_transition_time``.
 """
 
 from __future__ import annotations
@@ -50,11 +55,13 @@ import random
 import pytest
 
 from repro import _fastcore
-from repro.config import SimulationConfig
+from repro.config import QueueConfig, SimulationConfig
 from repro.core.saath import SaathScheduler
 from repro.errors import CapacityViolationError
 from repro.observability import MetricsRegistry
+from repro.schedulers.aalo import AaloScheduler
 from repro.schedulers.base import Allocation
+from repro.schedulers.queues import QueueTracker
 from repro.schedulers.registry import available_policies, make_scheduler
 from repro.simulator.engine import run_policy, run_scenario
 from repro.simulator.fabric import Fabric, PortLedger
@@ -75,7 +82,7 @@ from repro.simulator.ratealloc import (
     max_min_fair_rows,
     saath_round_rows,
 )
-from repro.simulator.state import FlowTable
+from repro.simulator.state import ClusterState, FlowTable, SchedulingDelta
 from repro.simulator.topology import BigSwitchTopology, LeafSpineTopology, PathMap
 from repro.testing.reference import run_reference
 
@@ -443,11 +450,296 @@ def _check_saath_round(rng, fastcore):
     assert got.scheduled_coflows == {1}
 
 
+#: Queue geometry of the Aalo-round and queue-kernel legs: thresholds
+#: 1e4 · 4**q, small enough for random progress to span every queue.
+_QUEUE_START, _QUEUE_GROWTH = 1e4, 4.0
+
+
+def _queue_config(num_queues: int) -> SimulationConfig:
+    return SimulationConfig(
+        port_rate=1e6,
+        queues=QueueConfig(num_queues=num_queues,
+                           start_threshold=_QUEUE_START,
+                           growth_factor=_QUEUE_GROWTH),
+    )
+
+
+def _random_round_specs(rng, machines, num_queues):
+    """Random coflow descriptions: ``(coflow id, [flow fields])`` with
+    shuffled flow ids, progress spread over (and exactly on) the queue
+    thresholds, ``-0.0`` progress, flows finished before or after
+    activation and data not yet available at t = 1."""
+    thresholds = [_QUEUE_START * _QUEUE_GROWTH**q
+                  for q in range(max(num_queues - 1, 1))]
+    specs = []
+    fid = 0
+    for cid in range(1, rng.randrange(2, 9)):
+        width = rng.randrange(1, 6)
+        ids = list(range(fid, fid + width))
+        fid += width
+        if rng.random() < 0.25:
+            rng.shuffle(ids)
+        on = rng.choice(thresholds)
+        flows = []
+        for flow_id in ids:
+            src = rng.randrange(machines)
+            dst = rng.randrange(machines)
+            if dst == src:
+                dst = (dst + 1) % machines
+            volume = rng.choice([1e3, 5e4, 2e5, on / width, 1e6 * rng.random()])
+            sent = rng.choice([0.0, -0.0, volume, volume * rng.random(),
+                               on / width, on / width])
+            sent = min(sent, volume) if sent > 0 else sent
+            flows.append(dict(
+                flow_id=flow_id, src=src, dst=dst + machines, volume=volume,
+                bytes_sent=sent,
+                finish=rng.choice([None] * 6 + ["before", "after"]),
+                available_time=rng.choice([0.0] * 5 + [2.0]),
+            ))
+        specs.append((cid, flows))
+    return specs
+
+
+def _build_round(specs, fabric, attach, notify_finished=False):
+    """Materialise ``specs`` as a cluster state; ``attach`` runs the engine
+    notification (table rows, pending caches) for every coflow, otherwise
+    the state is hand-built and schedulers take their object path. Flows
+    finished after activation stay in the pending-row caches (exercising
+    the kernels' finished-row filters) unless ``notify_finished``."""
+    coflows = []
+    for cid, flows in specs:
+        coflows.append(CoFlow(coflow_id=cid, arrival_time=0.0, flows=[
+            Flow(flow_id=f["flow_id"], coflow_id=cid, src=f["src"],
+                 dst=f["dst"], volume=f["volume"],
+                 bytes_sent=f["bytes_sent"],
+                 finish_time=1.0 if f["finish"] == "before" else None,
+                 available_time=f["available_time"])
+            for f in flows
+        ]))
+    state = ClusterState(fabric=fabric, active_coflows=list(coflows))
+    for c, (_, flows) in zip(coflows, specs):
+        if attach:
+            state.note_activated(c)
+        for flow, f in zip(c.flows, flows):
+            if f["finish"] == "after":
+                flow.finish_time = 1.0
+                if attach and notify_finished:
+                    state.note_flow_finished(flow)
+    return state
+
+
+def _forbid(*_args, **_kwargs):
+    raise AssertionError("the batched queue kernel declined")
+
+
+def _check_aalo_round(rng, fastcore):
+    """Aalo's row round (``aalo_ports`` or the ``_allocate_port_rows``
+    twin) against the object round (``_allocate_port``) on twin states:
+    same queue refresh, same grants in the same order, same ledger."""
+    machines = 6
+    fabric = Fabric(num_machines=machines, port_rate=1e6)
+    seen = {"unsorted": 0, "gated": 0, "dead": 0, "multi-queue": 0}
+    for trial in range(150):
+        num_queues = rng.choice([1, 4])
+        specs = _random_round_specs(rng, machines, num_queues)
+        arrival = [cid for cid, _ in specs]
+        rng.shuffle(arrival)
+        dead = ({rng.randrange(machines) + machines}
+                if rng.random() < 0.3 else set())
+        outcomes = []
+        for attach in (True, False):
+            state = _build_round(specs, fabric, attach, notify_finished=True)
+            state.table.fastcore = fastcore
+            state.capacity_override = {p: 0.0 for p in dead}
+            aalo = AaloScheduler(_queue_config(num_queues))
+            metrics = MetricsRegistry()
+            aalo.bind_instrumentation(None, metrics)
+            for cid in arrival:
+                aalo.on_coflow_arrival(state.coflow(cid), 0.0)
+            allocation = aalo.schedule(state, 1.0)
+            # Only the row round counts a kernel call.
+            kind = "fastcore" if attach and fastcore else "python"
+            assert metrics.counter(f"kernel.aalo_ports.{kind}") == attach
+            ledger = state._cached_ledger
+            outcomes.append((
+                list(allocation.rates.items()),
+                list(allocation.scheduled_coflows),
+                [u.hex() for u in ledger.used_list],
+                ledger.touched_set,
+                aalo.tracker.queue_map,
+            ))
+        row, obj = outcomes
+        assert row == obj, f"aalo-round trial {trial}"
+        queues_at = {}
+        for cid, flows in specs:
+            for f in flows:
+                queues_at.setdefault(f["src"], set()).add(row[4][cid])
+        seen["unsorted"] += any(
+            [f["flow_id"] for f in flows] != sorted(f["flow_id"] for f in flows)
+            for _, flows in specs)
+        seen["gated"] += any(f["available_time"] > 1.0
+                             for _, flows in specs for f in flows)
+        seen["dead"] += any(f["dst"] in dead
+                            for _, flows in specs for f in flows)
+        seen["multi-queue"] += any(len(q) > 1 for q in queues_at.values())
+    assert all(seen.values()), seen
+
+
+def _queue_trackers(rng, specs, fabric, metric, num_queues, fastcore):
+    """An attached state plus a batched and a per-coflow tracker with the
+    same (partly forced, last queue included) queue placements."""
+    state = _build_round(specs, fabric, attach=True)
+    state.table.fastcore = fastcore
+    cfg = _queue_config(num_queues)
+    batched = QueueTracker(cfg, metric=metric)
+    batched.metrics = MetricsRegistry()
+    reference = QueueTracker(cfg, metric=metric)
+    for c in state.active_coflows:
+        queue = rng.choice([0, 0, rng.randrange(num_queues), num_queues - 1])
+        for tracker in (batched, reference):
+            tracker.admit(c, 0.0)
+            tracker.force_queue(c, queue, 0.0)
+    return state, batched, reference
+
+
+def _check_queue_refresh(rng, fastcore):
+    """``QueueTracker.moves`` (``queue_targets`` or its Python reference)
+    against per-coflow ``target_queue`` / ``refresh`` over the dirty walk,
+    for both metrics: the same moves, and the same queues, deadlines and
+    total-bytes metrics after placing them."""
+    machines = 6
+    fabric = Fabric(num_machines=machines, port_rate=1e6)
+    kind = "fastcore" if fastcore else "python"
+    seen = {"moved": 0, "kept": 0, "incremental": 0, "declined": 0,
+            "last": 0}
+    for trial in range(200):
+        metric = rng.choice(["total", "perflow"])
+        num_queues = rng.choice([1, 2, 4])
+        specs = _random_round_specs(rng, machines, num_queues)
+        state, batched, reference = _queue_trackers(
+            rng, specs, fabric, metric, num_queues, fastcore)
+        ids = [c.coflow_id for c in state.active_coflows]
+        declined = rng.random() < 0.1
+        if declined:
+            # A coflow the engine never notified (no table rows).
+            stray = CoFlow(coflow_id=99, arrival_time=0.0, flows=[
+                Flow(flow_id=99, coflow_id=99, src=0, dst=machines + 1,
+                     volume=1e5, bytes_sent=5e4)])
+            state.active_coflows.append(stray)
+            for tracker in (batched, reference):
+                tracker.admit(stray, 0.0)
+            ids.append(99)
+        else:
+            batched.target_queue = _forbid
+        if rng.random() < 0.5:
+            state.delta = SchedulingDelta(
+                full=False,
+                arrived={i for i in ids if rng.random() < 0.2},
+                progressed={i for i in ids if rng.random() < 0.5},
+                flow_completed={i for i in ids if rng.random() < 0.2},
+            )
+        keep = (None if rng.random() < 0.5
+                else {i for i in ids if rng.random() < 0.3})
+        moves = batched.moves(state, keep)
+        assert batched.metrics.counter(f"kernel.queue_targets.{kind}") == 1
+
+        delta = state.delta
+        dirty = delta.arrived | delta.progressed | delta.flow_completed
+        expected = []
+        for c in state.active_coflows:
+            if delta.full or c.coflow_id in dirty:
+                target = reference.target_queue(c)
+                if (target > reference.queue_of(c)
+                        or c.coflow_id in (keep or ())):
+                    expected.append((c, target))
+        label = f"queue-refresh trial {trial} ({metric})"
+        assert ([(c.coflow_id, t) for c, t in moves]
+                == [(c.coflow_id, t) for c, t in expected]), label
+        assert all(a is b for (a, _), (b, _) in zip(moves, expected)), label
+        for c, target in moves:
+            batched.demote(c, target, 2.0)
+        for c in state.active_coflows:
+            if delta.full or c.coflow_id in dirty:
+                reference.refresh(c, 2.0)
+        for attr in ("_queue", "_deadline", "_entered", "_population"):
+            assert getattr(batched, attr) == getattr(reference, attr), label
+        assert ({k: v.hex() for k, v in batched._sent.items()}
+                == {k: float(v).hex()
+                    for k, v in reference._sent.items()}), label
+        seen["moved"] += any(t > 0 for _, t in moves)
+        seen["kept"] += bool(keep) and any(
+            t <= reference.queue_of(c) for c, t in expected)
+        seen["incremental"] += not delta.full
+        seen["declined"] += declined
+        seen["last"] += any(t == num_queues - 1 > 0 for _, t in moves)
+    assert all(seen.values()), seen
+
+
+def _check_queue_wakeup(rng, fastcore):
+    """``QueueTracker.earliest_transition`` (``queue_wakeup`` or its Python
+    reference) against the per-coflow ``next_transition_time`` fold, for
+    both metrics and both wakeup floors: the same float, bit for bit."""
+    machines = 6
+    fabric = Fabric(num_machines=machines, port_rate=1e6)
+    kind = "fastcore" if fastcore else "python"
+    seen = {"finite": 0, "immediate": 0, "inf": 0, "empty": 0,
+            "declined": 0}
+    for trial in range(250):
+        metric = rng.choice(["total", "perflow"])
+        num_queues = rng.choice([1, 2, 4])
+        specs = _random_round_specs(rng, machines, num_queues)
+        state, batched, reference = _queue_trackers(
+            rng, specs, fabric, metric, num_queues, fastcore)
+        # The round's refresh fills the total-bytes metric cache.
+        batched.moves(state)
+        table = state.table
+        rates = {}
+        for c in state.active_coflows:
+            for i in state.pending_rows(c):
+                if rng.random() < 0.8:  # else absent
+                    rates[table.flow_id[i]] = rng.choice(
+                        [0.0, 1e3, 5e5, 1e6 * rng.random()])
+        ids = [c.coflow_id for c in state.active_coflows]
+        candidates = {i for i in ids if rng.random() < 0.6}
+        declined = rng.random() < 0.1 and bool(candidates)
+        if declined:
+            victim = next(iter(candidates))
+            if metric == "total" and rng.random() < 0.5:
+                batched._sent.pop(victim)  # no cached metric
+            else:
+                state.pending_row_map.pop(victim)  # not table-tracked
+        else:
+            batched.next_transition_time = _forbid
+        now = rng.choice([0.0, 0.5])
+        floor = rng.choice([0.0, 1e-9])
+        got = batched.earliest_transition(state, candidates, rates, now,
+                                          floor)
+        assert batched.metrics.counter(f"kernel.queue_wakeup.{kind}") == 1
+        best = math.inf
+        for cid in candidates:
+            c = state.coflow(cid)
+            dt = reference.next_transition_time(
+                c, rates, pending_rows=state.pending_rows(c))
+            if dt < math.inf:
+                best = min(best, now + max(dt, floor))
+        label = f"queue-wakeup trial {trial} ({metric})"
+        assert got.hex() == best.hex(), label
+        seen["finite"] += math.isfinite(best) and best > now
+        seen["immediate"] += best == now
+        seen["inf"] += bool(candidates) and best == math.inf
+        seen["empty"] += not candidates
+        seen["declined"] += declined
+    assert all(seen.values()), seen
+
+
 @pytest.mark.parametrize("allocator", [
     "mmf", "madd", "equal", "greedy",
     "mmf-paths", "madd-paths", "equal-paths",
     "mmf-fastcore", "madd-fastcore", "greedy-fastcore",
     "saath-round", "saath-round-fastcore",
+    "aalo-round", "aalo-round-fastcore",
+    "queue-refresh", "queue-refresh-fastcore",
+    "queue-wakeup", "queue-wakeup-fastcore",
 ])
 def test_row_allocators_match_object_allocators(allocator):
     """Row-path and path-aware allocators are bit-identical to the object
@@ -463,8 +755,14 @@ def test_row_allocators_match_object_allocators(allocator):
             pytest.skip("repro._fastcore extension not built")
         allocator = allocator[: -len("-fastcore")]
     rng = random.Random(2024)
-    if allocator == "saath-round":
-        _check_saath_round(rng, fastcore)
+    check = {
+        "saath-round": _check_saath_round,
+        "aalo-round": _check_aalo_round,
+        "queue-refresh": _check_queue_refresh,
+        "queue-wakeup": _check_queue_wakeup,
+    }.get(allocator)
+    if check is not None:
+        check(rng, fastcore)
         return
     machines = 8
     fabric = Fabric(num_machines=machines, port_rate=1e6)

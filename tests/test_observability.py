@@ -28,6 +28,7 @@ from repro import _fastcore
 from repro.analysis.telemetry import TelemetryRecorder
 from repro.config import SimulationConfig
 from repro.core.saath import SaathScheduler
+from repro.schedulers.aalo import AaloScheduler
 from repro.experiments.runner import (
     METRICS_ENV,
     ResultCache,
@@ -254,12 +255,16 @@ class TestNonPerturbation:
             assert metrics.counter("flows.completed") > 0
             assert timers.to_dict()["phases"]
             phases = timers.phases
+            rounds, schedule_ns = phases["schedule"][:2]
+            # The session times every round's next_wakeup call.
+            assert phases["wakeup"][0] == rounds, sorted(phases)
             subs = [phases.get(f"schedule.{part}")
                     for part in ("assign", "order", "admit")]
-            if isinstance(make_scheduler(policy, cfg), SaathScheduler):
-                # Saath's sub-phases nest inside the session's schedule
-                # phase: one sample each per round, never more time.
-                rounds, schedule_ns = phases["schedule"][:2]
+            if isinstance(make_scheduler(policy, cfg),
+                          (SaathScheduler, AaloScheduler)):
+                # Saath's and Aalo's sub-phases nest inside the session's
+                # schedule phase: one sample each per round, never more
+                # time.
                 assert all(cell is not None and cell[0] == rounds
                            for cell in subs), sorted(phases)
                 assert sum(cell[1] for cell in subs) <= schedule_ns

@@ -28,12 +28,14 @@ and osp-like/aalo dominate the wall clock" claims are reproduced.
 
 ``--phases`` replaces cProfile with the engine's lightweight
 :class:`~repro.observability.PhaseTimers` — per-phase (lookout / advance /
-completions / events / schedule / apply) wall-time breakdowns that span
-the fastcore boundary without cProfile's per-call overhead distorting
-compiled-vs-Python comparisons. Saath's rounds also split ``schedule``
-into ``schedule.assign`` (queue assignment), ``schedule.order`` (starvation
-check, contention and LCoF sort) and ``schedule.admit`` (all-or-none
-admission, D2 rates and work conservation), printed indented under it. Composes with ``--cells`` to print a
+completions / events / schedule / apply / wakeup) wall-time breakdowns
+that span the fastcore boundary without cProfile's per-call overhead
+distorting compiled-vs-Python comparisons. Saath's and Aalo's rounds also
+split ``schedule`` into ``schedule.assign`` (queue assignment),
+``schedule.order`` (Saath: starvation check, contention and LCoF sort;
+Aalo: the schedulable-row gather) and ``schedule.admit`` (Saath:
+all-or-none admission, D2 rates and work conservation; Aalo: port
+service), printed indented under it. Composes with ``--cells`` to print a
 phase breakdown under every cell.
 """
 
@@ -90,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--phases", action="store_true",
                         help="report engine phase-timer breakdowns "
                              "(lookout/advance/completions/events/"
-                             "schedule/apply) instead of cProfile; "
+                             "schedule/apply/wakeup) instead of cProfile; "
                              "composes with --cells")
     return parser
 
