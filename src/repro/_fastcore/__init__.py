@@ -6,8 +6,8 @@ re-implements the progressive-fill / fused-allocation kernels of
 big-switch admission round, twin of ``ratealloc.saath_round_rows``), the
 inner loops of :mod:`repro.simulator.session`, the round cores of the
 Aalo and UC-TCP schedulers, and the queue-threshold layer shared by Aalo
-and Saath (``queue_targets`` / ``queue_wakeup``, twins of
-``QueueTracker._moves_rows`` / ``QueueTracker._earliest_rows``) with the
+and Saath (``queue_targets`` / ``queue_wakeup``, twins of the per-coflow
+``QueueTracker.target_queue`` / ``QueueTracker.next_transition_time``) with the
 same IEEE-754 operations in the same order, so results are **bitwise
 identical** to the pure-Python rows path — asserted by the fuzz firewall
 (``tests/test_fuzz_equivalence.py``).

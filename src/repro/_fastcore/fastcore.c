@@ -2367,13 +2367,12 @@ rates_get(PyObject *rates, int64_t flow_id, int *err)
     return r;
 }
 
-/* Attribute names the queue kernels read off CoFlow objects (interned at
- * module init). */
-static PyObject *str_rows = NULL, *str_table = NULL, *str_flows = NULL,
-                *str_coflow_id = NULL;
+/* CoFlow.coflow_id, the attribute queue_targets reads (interned at module
+ * init). */
+static PyObject *str_coflow_id = NULL;
 
-/* queues._live_rate: the summed rate of the unfinished rows, folded in
- * row order from 0.0 (flows.left_sum). */
+/* The "total" branch of QueueTracker.next_transition_time: the summed rate
+ * of the unfinished rows, folded in row order from 0.0 (flows.left_sum). */
 static int
 live_rate(PyObject *rows, const int64_t *fid, PyObject *ft, Py_ssize_t ncols,
           PyObject *rates, double *out)
@@ -2395,10 +2394,10 @@ live_rate(PyObject *rows, const int64_t *fid, PyObject *ft, Py_ssize_t ncols,
     return 0;
 }
 
-/* queues._per_flow_crossing: seconds until the first unfinished row
- * reaches per_flow_hi (0.0 for an immediate transition, inf when none
- * will).  Same scan order, comparisons, min() tie-breaks and early
- * return as the Python loop. */
+/* The per-flow branch of QueueTracker.next_transition_time: seconds until
+ * the first unfinished row reaches per_flow_hi (0.0 for an immediate
+ * transition, inf when none will).  Same scan order, comparisons, min()
+ * tie-breaks and early return as the Python loop. */
 static int
 per_flow_crossing(PyObject *rows, const int64_t *fid, PyObject *ft,
                   const double *vol, const double *bs, Py_ssize_t ncols,
@@ -2436,28 +2435,29 @@ per_flow_crossing(PyObject *rows, const int64_t *fid, PyObject *ft,
     return 0;
 }
 
-/* queue_targets(coflows, dirty, keep, qmap, table, bs, finite_hi, perflow,
- *               sent) -> list[(coflow, target)] | None
+/* queue_targets(coflows, dirty, keep, qmap, row_map, bs, finite_hi,
+ *               perflow, sent) -> list[(coflow, target)] | None
  *
- * Compiled twin of QueueTracker._moves_rows: for every coflow in dirty
- * (all when dirty is None), in order, the progress metric over its table
- * rows (coflow._rows) — the total bytes sent (a 0.0-started left fold,
- * stored in sent[coflow_id]) or the max per-flow bytes (first of equal
- * values kept) times the width — then bisect_right over the finite queue
- * thresholds; (coflow, target) is kept when the target exceeds the
- * coflow's current queue index (qmap) or the coflow is in keep.  None declines
- * the batch exactly where the reference does: a coflow not attached to
- * `table` or not in qmap, an empty coflow under the per-flow metric, or a
- * negative metric (the per-coflow rule then raises). */
+ * Compiled QueueTracker.moves, twin of a QueueTracker.target_queue loop:
+ * for every coflow in dirty (all when dirty is None), in order, the
+ * progress metric over its table rows (row_map[coflow_id]) — the total
+ * bytes sent (a 0.0-started left fold, stored in sent[coflow_id]) or the
+ * max per-flow bytes (first of equal values kept) times the width — then
+ * bisect_right over the finite queue thresholds; (coflow, target) is kept
+ * when the target exceeds the coflow's current queue index (qmap) or the
+ * coflow is in keep.  None declines the batch, leaving it to the Python
+ * loop: a coflow with no table rows or not in qmap, an empty coflow under
+ * the per-flow metric, or a negative metric (target_queue then raises). */
 static PyObject *
 queue_targets(PyObject *self, PyObject *args)
 {
-    PyObject *coflows_in, *dirty, *keep, *qmap, *table, *bs_o, *hi_in,
+    PyObject *coflows_in, *dirty, *keep, *qmap, *row_map, *bs_o, *hi_in,
              *sent;
     int perflow;
-    if (!PyArg_ParseTuple(args, "OOOO!OOOpO!", &coflows_in, &dirty,
-                          &keep, &PyDict_Type, &qmap, &table,
-                          &bs_o, &hi_in, &perflow, &PyDict_Type, &sent))
+    if (!PyArg_ParseTuple(args, "OOOO!O!OOpO!", &coflows_in, &dirty,
+                          &keep, &PyDict_Type, &qmap, &PyDict_Type,
+                          &row_map, &bs_o, &hi_in, &perflow, &PyDict_Type,
+                          &sent))
         return NULL;
     if ((dirty != Py_None && !PyAnySet_Check(dirty))
         || !PyAnySet_Check(keep)) {
@@ -2467,8 +2467,7 @@ queue_targets(PyObject *self, PyObject *args)
     }
 
     bufs B = {0};
-    PyObject *result = NULL, *fast = NULL, *moves = NULL;
-    PyObject *cid = NULL, *rows = NULL, *tbl = NULL;
+    PyObject *result = NULL, *fast = NULL, *moves = NULL, *cid = NULL;
     double *th = NULL;
     Py_ssize_t ncols;
     double *bs = bufs_get(&B, bs_o, 'd', &ncols, "bytes_sent");
@@ -2500,17 +2499,13 @@ queue_targets(PyObject *self, PyObject *args)
                 continue;
             }
         }
-        rows = PyObject_GetAttr(coflow, str_rows);
-        if (rows == NULL)
-            goto done;
-        tbl = PyObject_GetAttr(coflow, str_table);
-        if (tbl == NULL)
-            goto done;
-        PyObject *qobj = PyDict_GetItemWithError(qmap, cid);
-        if (qobj == NULL && PyErr_Occurred())
-            goto done;
-        if (rows == Py_None || tbl != table || qobj == NULL)
+        PyObject *rows = PyDict_GetItemWithError(row_map, cid);
+        PyObject *qobj = rows ? PyDict_GetItemWithError(qmap, cid) : NULL;
+        if (qobj == NULL) {
+            if (PyErr_Occurred())
+                goto done;
             goto decline;
+        }
         Py_ssize_t current = PyLong_AsSsize_t(qobj);
         if (current == -1 && PyErr_Occurred())
             goto done;
@@ -2578,8 +2573,6 @@ queue_targets(PyObject *self, PyObject *args)
                 goto done;
         }
         Py_CLEAR(cid);
-        Py_CLEAR(rows);
-        Py_CLEAR(tbl);
     }
     result = moves;
     moves = NULL;
@@ -2591,8 +2584,6 @@ decline:
 
 done:
     Py_XDECREF(cid);
-    Py_XDECREF(rows);
-    Py_XDECREF(tbl);
     Py_XDECREF(moves);
     Py_XDECREF(fast);
     PyMem_Free(th);
@@ -2600,33 +2591,36 @@ done:
     return result;
 }
 
-/* queue_wakeup(candidates, by_id, pending, qmap, sent, perflow, finite_hi,
- *              fid, ft, vol, bs, rates, now, floor) -> float | None
+/* queue_wakeup(candidates, row_map, pending, qmap, sent, perflow,
+ *              finite_hi, fid, ft, vol, bs, rates, now, floor)
+ *     -> float | None
  *
- * Compiled twin of QueueTracker._earliest_rows: over the candidate coflow
- * ids, in iteration order, the earliest now + max(dt, floor) for a finite
+ * Compiled QueueTracker.earliest_transition, twin of a
+ * QueueTracker.next_transition_time fold: over the candidate coflow ids,
+ * in iteration order, the earliest now + max(dt, floor) for a finite
  * threshold-crossing gap dt — the total metric's max(hi - sent, 0.0) /
- * live_rate (sent read from the refresh's cache) or the per-flow
- * metric's per_flow_crossing at hi / width — folding with min()'s
- * keep-the-first tie-break.  inf when no candidate crosses.  None
- * declines the batch where the reference does: a candidate that is not
- * table-tracked, has no cached metric, no flows or a negative queue. */
+ * live_rate over the pending rows (sent read from the refresh's cache) or
+ * the per-flow metric's per_flow_crossing at hi / width (the width is the
+ * length of row_map[id]) — folding with min()'s keep-the-first
+ * tie-break.  inf when no candidate crosses.  None declines the batch,
+ * leaving it to the Python fold: a candidate with no table rows or
+ * pending rows, no cached metric, no flows or a negative queue. */
 static PyObject *
 queue_wakeup(PyObject *self, PyObject *args)
 {
-    PyObject *cands, *by_id, *pending, *qmap, *sent, *hi_in, *fid_o, *ft,
+    PyObject *cands, *row_map, *pending, *qmap, *sent, *hi_in, *fid_o, *ft,
              *vol_o, *bs_o, *rates;
     int perflow;
     double now, floor_;
     if (!PyArg_ParseTuple(args, "OO!O!O!O!pOOOOOO!dd", &cands,
-                          &PyDict_Type, &by_id, &PyDict_Type, &pending,
+                          &PyDict_Type, &row_map, &PyDict_Type, &pending,
                           &PyDict_Type, &qmap, &PyDict_Type, &sent,
                           &perflow, &hi_in, &fid_o, &ft, &vol_o, &bs_o,
                           &PyDict_Type, &rates, &now, &floor_))
         return NULL;
 
     bufs B = {0};
-    PyObject *result = NULL, *it = NULL, *cid = NULL, *flows = NULL;
+    PyObject *result = NULL, *it = NULL, *cid = NULL;
     double *th = NULL;
     Py_ssize_t ncols, n2, n3;
     int64_t *fid = bufs_get(&B, fid_o, 'q', &ncols, "flow_id");
@@ -2649,9 +2643,8 @@ queue_wakeup(PyObject *self, PyObject *args)
         goto done;
     double best = Py_HUGE_VAL;
     while ((cid = PyIter_Next(it)) != NULL) {
-        PyObject *coflow = PyDict_GetItemWithError(by_id, cid);
-        PyObject *rows = coflow ? PyDict_GetItemWithError(pending, cid)
-                                : NULL;
+        PyObject *all = PyDict_GetItemWithError(row_map, cid);
+        PyObject *rows = all ? PyDict_GetItemWithError(pending, cid) : NULL;
         PyObject *qobj = rows ? PyDict_GetItemWithError(qmap, cid) : NULL;
         if (qobj == NULL) {
             if (PyErr_Occurred())
@@ -2667,25 +2660,19 @@ queue_wakeup(PyObject *self, PyObject *args)
         }
         if (q < 0)
             goto decline;
-        if (!PyList_Check(rows)) {
+        if (!PyList_Check(rows) || !PyList_Check(all)) {
             PyErr_SetString(PyExc_TypeError,
-                            "fastcore: pending rows must be a list");
+                            "fastcore: coflow rows must be lists");
             goto done;
         }
         double hi = th[q], dt;
         if (perflow) {
-            flows = PyObject_GetAttr(coflow, str_flows);
-            if (flows == NULL)
-                goto done;
-            Py_ssize_t width = PyObject_Size(flows);
-            if (width < 0)
-                goto done;
+            Py_ssize_t width = PyList_GET_SIZE(all);
             if (width == 0)
                 goto decline;
             if (per_flow_crossing(rows, fid, ft, vol, bs, ncols, rates,
                                   hi / (double)width, &dt) < 0)
                 goto done;
-            Py_CLEAR(flows);
         }
         else {
             PyObject *sobj = PyDict_GetItemWithError(sent, cid);
@@ -2724,7 +2711,6 @@ decline:
     Py_INCREF(result);
 
 done:
-    Py_XDECREF(flows);
     Py_XDECREF(cid);
     Py_XDECREF(it);
     PyMem_Free(th);
@@ -2862,12 +2848,8 @@ static struct PyModuleDef fastcore_module = {
 PyMODINIT_FUNC
 PyInit__core(void)
 {
-    str_rows = PyUnicode_InternFromString("_rows");
-    str_table = PyUnicode_InternFromString("_table");
-    str_flows = PyUnicode_InternFromString("flows");
     str_coflow_id = PyUnicode_InternFromString("coflow_id");
-    if (str_rows == NULL || str_table == NULL || str_flows == NULL
-        || str_coflow_id == NULL)
+    if (str_coflow_id == NULL)
         return NULL;
     return PyModule_Create(&fastcore_module);
 }

@@ -12,20 +12,19 @@ Two transition metrics are supported, selected by the owner:
 * ``"perflow"`` — Saath: max bytes sent by any flow vs ``Q_hi / width``
   (Eq. 1, §4.2 D3).
 
-Each round's queue work is two batched calls over the flow table:
-:meth:`QueueTracker.moves` (the target queue of every dirty coflow) and
+Each round's queue work is two batched calls: :meth:`QueueTracker.moves`
+(the target queue of every dirty coflow) and
 :meth:`QueueTracker.earliest_transition` (the next threshold crossing over
-the round's rated coflows), compiled as ``queue_targets`` /
-``queue_wakeup`` in :mod:`repro._fastcore`. The per-coflow
-:meth:`~QueueTracker.refresh` / :meth:`~QueueTracker.next_transition_time`
-stay as their reference and as the path for states whose coflows are not
-table-attached.
+the round's rated coflows). With the compiled core they run as
+``queue_targets`` / ``queue_wakeup`` in :mod:`repro._fastcore` over the
+flow table; without it they loop over the per-coflow
+:meth:`~QueueTracker.target_queue` / :meth:`~QueueTracker.next_transition_time`,
+which are the kernels' reference.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 
 from .._fastcore import core as _core
 from ..config import SimulationConfig
@@ -34,37 +33,6 @@ from ..simulator.flows import CoFlow, left_sum
 
 #: The empty ``keep`` set of :meth:`QueueTracker.moves`.
 _NO_KEEP: frozenset[int] = frozenset()
-
-
-def _live_rate(rows, fid, ft, rates_get) -> float:
-    """Summed rate of the unfinished ``rows`` (the "total" metric's
-    crossing speed), folded in row order."""
-    return left_sum([rates_get(fid[i], 0.0) for i in rows if ft[i] is None])
-
-
-def _per_flow_crossing(rows, fid, ft, vol, bs, rates_get,
-                       per_flow_hi: float) -> float:
-    """Seconds until the first unfinished row reaches ``per_flow_hi``
-    (``0.0`` when one already has, ``inf`` when none will)."""
-    best = math.inf
-    for i in rows:
-        if ft[i] is not None:
-            continue
-        rate = rates_get(fid[i], 0.0)
-        if rate <= 0:
-            continue
-        # A flow cannot push bytes_sent beyond its volume; crossing only
-        # happens if the threshold is reachable within it.
-        reachable = min(vol[i], per_flow_hi)
-        if reachable <= bs[i]:
-            # Already at/over the reachable point: if it is the true
-            # threshold, the transition is immediate on next refresh.
-            if bs[i] >= per_flow_hi:
-                return 0.0
-            continue
-        if per_flow_hi <= vol[i]:
-            best = min(best, (per_flow_hi - bs[i]) / rate)
-    return best
 
 
 class QueueTracker:
@@ -162,65 +130,35 @@ class QueueTracker:
         order callers must apply the moves in (deadlines read queue
         populations at placement time). A target depends on progress
         only, never on queue state, so batching the targets ahead of the
-        placements is exact. Table-attached coflows take one pass over
-        the ``bytes_sent`` column, compiled as ``queue_targets`` when
-        ``table.fastcore`` (the kernel leaves a batch holding any other
-        coflow to :meth:`_moves_rows`).
+        placements is exact. Compiled as ``queue_targets`` over the flow
+        table when ``table.fastcore``; the Python form (and the fallback
+        when the kernel declines a coflow off the table) is
+        :meth:`target_queue` per coflow.
         """
         delta = state.delta
         dirty = (None if delta.full
                  else delta.arrived | delta.progressed | delta.flow_completed)
-        table = state.table
-        perflow = self.metric == "perflow"
         keep = keep if keep is not None else _NO_KEEP
+        table = state.table
         if table.fastcore and _core is not None:
             if self.metrics is not None:
                 self.metrics.inc("kernel.queue_targets.fastcore")
             moves = _core.queue_targets(
-                state.active_coflows, dirty, keep, self._queue, table,
-                table.bytes_sent, self.config.queues._finite_hi, perflow,
+                state.active_coflows, dirty, keep, self._queue,
+                state.row_map, table.bytes_sent,
+                self.config.queues._finite_hi, self.metric == "perflow",
                 self._sent,
             )
             if moves is not None:
                 return moves
         elif self.metrics is not None:
             self.metrics.inc("kernel.queue_targets.python")
-        return self._moves_rows(state.active_coflows, dirty, keep, table,
-                                perflow)
-
-    def _moves_rows(self, coflows: list[CoFlow], dirty: "set[int] | None",
-                    keep: "set[int] | frozenset[int]", table,
-                    perflow: bool) -> list[tuple[CoFlow, int]]:
-        """Python reference of the ``queue_targets`` kernel. Coflows the
-        kernel cannot take — not attached to ``table``, or with an invalid
-        metric that the per-coflow rule must reject — go through
-        :meth:`target_queue`."""
-        finite_hi = self.config.queues._finite_hi
-        bs = table.bytes_sent
-        sent_map = self._sent
         moves = []
-        for coflow in coflows:
+        for coflow in state.active_coflows:
             cid = coflow.coflow_id
             if dirty is not None and cid not in dirty:
                 continue
-            rows = coflow._rows
-            if (rows is None or coflow._table is not table
-                    or (perflow and not rows)):
-                target = self.target_queue(coflow)
-            else:
-                if perflow:
-                    # max() keeps the first of equal values, as
-                    # CoFlow.max_flow_bytes_sent does; width == len(rows).
-                    value = max([bs[i] for i in rows]) * len(rows)
-                else:
-                    value = left_sum([bs[i] for i in rows])
-                    sent_map[cid] = value
-                if value < 0:
-                    target = self.target_queue(coflow)  # raises
-                else:
-                    # queue_for_bytes: the start-threshold shortcut and the
-                    # bisect agree (finite_hi[0] is the start threshold).
-                    target = bisect_right(finite_hi, value)
+            target = self.target_queue(coflow)
             if target > self.queue_of(coflow) or cid in keep:
                 moves.append((coflow, target))
         return moves
@@ -285,15 +223,35 @@ class QueueTracker:
             ft = [f.finish_time for f in flows]
             vol = [f.volume for f in flows]
             bs = [f.bytes_sent for f in flows]
+        rates_get = rates.get
         if self.metric == "total":
-            total_rate = _live_rate(rows, fid, ft, rates.get)
+            total_rate = left_sum(
+                [rates_get(fid[i], 0.0) for i in rows if ft[i] is None])
             if total_rate <= 0:
                 return math.inf
             gap = hi - coflow.bytes_sent
             return max(gap, 0.0) / total_rate
         # Per-flow metric: first flow to reach hi / width.
-        return _per_flow_crossing(rows, fid, ft, vol, bs, rates.get,
-                                  hi / coflow.width)
+        per_flow_hi = hi / coflow.width
+        best = math.inf
+        for i in rows:
+            if ft[i] is not None:
+                continue
+            rate = rates_get(fid[i], 0.0)
+            if rate <= 0:
+                continue
+            # A flow cannot push bytes_sent beyond its volume; crossing only
+            # happens if the threshold is reachable within it.
+            reachable = min(vol[i], per_flow_hi)
+            if reachable <= bs[i]:
+                # Already at/over the reachable point: if it is the true
+                # threshold, the transition is immediate on next refresh.
+                if bs[i] >= per_flow_hi:
+                    return 0.0
+                continue
+            if per_flow_hi <= vol[i]:
+                best = min(best, (per_flow_hi - bs[i]) / rate)
+        return best
 
     def earliest_transition(self, state, candidates, rates: dict[int, float],
                             now: float, floor: float) -> float:
@@ -301,18 +259,19 @@ class QueueTracker:
         ids) whose :meth:`next_transition_time` ``dt`` is finite; ``inf``
         when there is none.
 
-        One batched pass over the flow table, compiled as ``queue_wakeup``
-        when ``table.fastcore`` (the kernel leaves a batch holding an
-        untracked candidate to :meth:`_earliest_rows`). The total-bytes
-        metric comes from the round's refresh (:meth:`moves`) instead of
-        being summed again. Both fold ``min`` in candidate order.
+        Compiled as ``queue_wakeup`` over the flow table when
+        ``table.fastcore``, reading the total-bytes metric from the
+        round's refresh (:meth:`moves`) instead of summing it again; the
+        Python form (and the fallback when the kernel declines an
+        untracked candidate) is the :meth:`next_transition_time` fold.
+        Both fold ``min`` in candidate order.
         """
         table = state.table
         if table.fastcore and _core is not None:
             if self.metrics is not None:
                 self.metrics.inc("kernel.queue_wakeup.fastcore")
             best = _core.queue_wakeup(
-                candidates, state.coflow_map, state.pending_row_map,
+                candidates, state.row_map, state.pending_row_map,
                 self._queue, self._sent, self.metric == "perflow",
                 self.config.queues._finite_hi, table.flow_id,
                 table.finish_time, table.volume, table.bytes_sent, rates,
@@ -322,48 +281,11 @@ class QueueTracker:
                 return best
         elif self.metrics is not None:
             self.metrics.inc("kernel.queue_wakeup.python")
-        return self._earliest_rows(state, candidates, rates, now, floor)
-
-    def _earliest_rows(self, state, candidates, rates: dict[int, float],
-                       now: float, floor: float) -> float:
-        """Python reference of the ``queue_wakeup`` kernel. Candidates the
-        kernel cannot take — not table-tracked, or with no cached
-        total-bytes metric — go through :meth:`next_transition_time`."""
-        table = state.table
-        fid = table.flow_id
-        ft = table.finish_time
-        vol = table.volume
-        bs = table.bytes_sent
-        by_id = state.coflow_map
-        pending = state.pending_row_map
-        queue = self._queue
-        sent_map = self._sent
-        perflow = self.metric == "perflow"
-        finite_hi = self.config.queues._finite_hi
-        last = len(finite_hi)
-        rates_get = rates.get
         best = math.inf
         for cid in candidates:
-            coflow = by_id.get(cid)
-            rows = pending.get(cid)
-            current = queue.get(cid)
-            sent = None if perflow else sent_map.get(cid)
-            if (coflow is None or rows is None or current is None
-                    or current < 0
-                    or (not coflow.flows if perflow else sent is None)):
-                coflow = state.coflow(cid)
-                dt = self.next_transition_time(
-                    coflow, rates, pending_rows=state.pending_rows(coflow))
-            elif current >= last:
-                continue
-            elif perflow:
-                dt = _per_flow_crossing(rows, fid, ft, vol, bs, rates_get,
-                                        finite_hi[current] / len(coflow.flows))
-            else:
-                total_rate = _live_rate(rows, fid, ft, rates_get)
-                if total_rate <= 0:
-                    continue
-                dt = max(finite_hi[current] - sent, 0.0) / total_rate
+            coflow = state.coflow(cid)
+            dt = self.next_transition_time(
+                coflow, rates, pending_rows=state.pending_rows(coflow))
             if dt < math.inf:
                 best = min(best, now + max(dt, floor))
         return best

@@ -276,6 +276,11 @@ class ClusterState:
 
     # Internal caches; never part of the public snapshot semantics.
     _by_id: dict[int, CoFlow] = field(default_factory=dict, repr=False)
+    #: coflow_id -> every table row of the coflow, in ``flows`` order, for
+    #: the coflows attached to this state's ``table``.
+    _coflow_rows: dict[int, list[int]] = field(
+        default_factory=dict, repr=False
+    )
     #: coflow_id -> table rows of not-yet-finished flows (exact: maintained
     #: by live engine notifications, holds no finished flows).
     _pending_rows: dict[int, list[int]] = field(
@@ -383,10 +388,12 @@ class ClusterState:
         return True
 
     @property
-    def coflow_map(self) -> dict[int, CoFlow]:
-        """Live ``coflow_id → active coflow`` map of the engine-notified
-        coflows (read-only by convention; empty for hand-built states)."""
-        return self._by_id
+    def row_map(self) -> dict[int, list[int]]:
+        """Live ``coflow_id →`` all table rows of each engine-notified
+        coflow attached to ``table`` (one row per flow, in ``flows``
+        order, so a coflow's width is the length of its rows; read-only by
+        convention, empty for hand-built states)."""
+        return self._coflow_rows
 
     @property
     def pending_row_map(self) -> dict[int, list[int]]:
@@ -690,6 +697,8 @@ class ClusterState:
         """
         self._by_id[coflow.coflow_id] = coflow
         rows = self.table.adopt_coflow(coflow)
+        if coflow._table is self.table:
+            self._coflow_rows[coflow.coflow_id] = rows
         ft = self.table.finish_time
         self._pending_rows[coflow.coflow_id] = [
             i for i in rows if ft[i] is None
@@ -766,6 +775,7 @@ class ClusterState:
         coflow = self._by_id.pop(coflow_id, None)
         if coflow is not None:
             self.table.evict_coflow(coflow)
+        self._coflow_rows.pop(coflow_id, None)
         self._pending_rows.pop(coflow_id, None)
         self._pending.pop(coflow_id, None)
         self._port_counts.pop(coflow_id, None)

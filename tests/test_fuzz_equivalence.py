@@ -42,9 +42,10 @@ The ``saath-round`` legs fuzz Saath's whole big-switch admission round
 compiled ``saath_round``) against the scheduler's object-path round. The
 ``aalo-round`` legs do the same for Aalo's row round (``aalo_ports`` and
 the ``_allocate_port_rows`` twin against ``_allocate_port``), and the
-``queue-refresh`` / ``queue-wakeup`` legs pin the batched queue-threshold
-layer (``queue_targets`` / ``queue_wakeup`` and their Python references)
-to the per-coflow ``refresh`` / ``next_transition_time``.
+``queue-refresh-fastcore`` / ``queue-wakeup-fastcore`` legs pin the
+compiled queue-threshold layer (``queue_targets`` / ``queue_wakeup``) to
+the per-coflow ``refresh`` / ``next_transition_time`` (without the
+extension the batched calls are loops over those very methods).
 """
 
 from __future__ import annotations
@@ -603,13 +604,13 @@ def _queue_trackers(rng, specs, fabric, metric, num_queues, fastcore):
 
 
 def _check_queue_refresh(rng, fastcore):
-    """``QueueTracker.moves`` (``queue_targets`` or its Python reference)
-    against per-coflow ``target_queue`` / ``refresh`` over the dirty walk,
-    for both metrics: the same moves, and the same queues, deadlines and
-    total-bytes metrics after placing them."""
+    """``QueueTracker.moves`` (``queue_targets``) against per-coflow
+    ``target_queue`` / ``refresh`` over the dirty walk, for both metrics:
+    the same moves, and the same queues, deadlines and total-bytes
+    metrics after placing them."""
+    assert fastcore  # the Python form is the per-coflow loop itself
     machines = 6
     fabric = Fabric(num_machines=machines, port_rate=1e6)
-    kind = "fastcore" if fastcore else "python"
     seen = {"moved": 0, "kept": 0, "incremental": 0, "declined": 0,
             "last": 0}
     for trial in range(200):
@@ -641,7 +642,7 @@ def _check_queue_refresh(rng, fastcore):
         keep = (None if rng.random() < 0.5
                 else {i for i in ids if rng.random() < 0.3})
         moves = batched.moves(state, keep)
-        assert batched.metrics.counter(f"kernel.queue_targets.{kind}") == 1
+        assert batched.metrics.counter("kernel.queue_targets.fastcore") == 1
 
         delta = state.delta
         dirty = delta.arrived | delta.progressed | delta.flow_completed
@@ -676,12 +677,12 @@ def _check_queue_refresh(rng, fastcore):
 
 
 def _check_queue_wakeup(rng, fastcore):
-    """``QueueTracker.earliest_transition`` (``queue_wakeup`` or its Python
-    reference) against the per-coflow ``next_transition_time`` fold, for
-    both metrics and both wakeup floors: the same float, bit for bit."""
+    """``QueueTracker.earliest_transition`` (``queue_wakeup``) against the
+    per-coflow ``next_transition_time`` fold, for both metrics and both
+    wakeup floors: the same float, bit for bit."""
+    assert fastcore  # the Python form is the per-coflow fold itself
     machines = 6
     fabric = Fabric(num_machines=machines, port_rate=1e6)
-    kind = "fastcore" if fastcore else "python"
     seen = {"finite": 0, "immediate": 0, "inf": 0, "empty": 0,
             "declined": 0}
     for trial in range(250):
@@ -706,15 +707,17 @@ def _check_queue_wakeup(rng, fastcore):
             victim = next(iter(candidates))
             if metric == "total" and rng.random() < 0.5:
                 batched._sent.pop(victim)  # no cached metric
+            elif rng.random() < 0.5:
+                state.pending_row_map.pop(victim)  # no pending-row cache
             else:
-                state.pending_row_map.pop(victim)  # not table-tracked
+                state.row_map.pop(victim)  # not attached to the table
         else:
             batched.next_transition_time = _forbid
         now = rng.choice([0.0, 0.5])
         floor = rng.choice([0.0, 1e-9])
         got = batched.earliest_transition(state, candidates, rates, now,
                                           floor)
-        assert batched.metrics.counter(f"kernel.queue_wakeup.{kind}") == 1
+        assert batched.metrics.counter("kernel.queue_wakeup.fastcore") == 1
         best = math.inf
         for cid in candidates:
             c = state.coflow(cid)
@@ -738,8 +741,7 @@ def _check_queue_wakeup(rng, fastcore):
     "mmf-fastcore", "madd-fastcore", "greedy-fastcore",
     "saath-round", "saath-round-fastcore",
     "aalo-round", "aalo-round-fastcore",
-    "queue-refresh", "queue-refresh-fastcore",
-    "queue-wakeup", "queue-wakeup-fastcore",
+    "queue-refresh-fastcore", "queue-wakeup-fastcore",
 ])
 def test_row_allocators_match_object_allocators(allocator):
     """Row-path and path-aware allocators are bit-identical to the object
