@@ -31,12 +31,7 @@ from ..config import SimulationConfig
 from ..schedulers.base import Allocation, Scheduler
 from ..schedulers.queues import QueueTracker
 from ..simulator.flows import CoFlow, Flow
-from ..simulator.ratealloc import (
-    equal_rate_for_coflow,
-    equal_rate_for_coflow_paths,
-    greedy_residual_rates,
-    saath_round_rows,
-)
+from ..simulator.ratealloc import saath_round_rows
 from ..simulator.state import ClusterState
 from .contention import ContentionTracker
 from .dynamics import promotion_queue
@@ -138,69 +133,16 @@ class SaathScheduler(Scheduler):
         out."""
         ledger = state.acquire_ledger()
         allocation = Allocation()
-
-        paths = state.paths
-        if paths is not None:
-            # Path-aware round (multi-tier topology): all-or-none admission
-            # and the D2 equal rate run over *link* counts, so a coflow is
-            # admitted only when every core link on its flows' paths still
-            # has capacity, and its rate saturates at the true bottleneck.
-            missed_path: list[list[Flow]] = []
-            for coflow in order:
-                flows = state.schedulable_flows(coflow, now)
-                if not flows:
-                    continue
-                counts = state.link_counts(coflow, now, flows=flows)
-                if self._all_or_none_admissible(flows, ledger, counts):
-                    rates = equal_rate_for_coflow_paths(
-                        coflow, ledger, paths,
-                        flows=flows, link_counts=counts,
-                    )
-                    if rates:
-                        allocation.rates.update(rates)
-                        allocation.scheduled_coflows.add(coflow.coflow_id)
-                        continue
-                missed_path.append(flows)
-            if self.work_conservation and missed_path:
-                # greedy_residual_rates fills through ledger.fill, which a
-                # LinkLedger bounds by (and charges to) the whole path.
-                self._work_conserve(missed_path, ledger, allocation)
-            return allocation
-
-        if state.rows_tracked():
-            # Row path: the whole round runs on table rows (same arithmetic
-            # and order as the object path below), compiled when available.
-            # Flow-group compaction: per-port pending counts replace the
-            # per-flow recount in admission and D2 rate assignment whenever
-            # they exactly describe the schedulable set.
-            ids, groups, group_counts = state.schedulable_groups(order, now)
-            saath_round_rows(
-                ids, groups, group_counts, state.table, ledger, allocation,
-                min_rate=self.config.min_rate,
-                work_conservation=self.work_conservation,
-            )
-            return allocation
-
-        #: Missed coflows with their (already gathered) schedulable flows,
-        #: so work conservation does not re-derive the same lists.
-        missed: list[list[Flow]] = []
-        for coflow in order:
-            flows = state.schedulable_flows(coflow, now)
-            if not flows:
-                continue
-            counts = state.port_counts(coflow, now)
-            if self._all_or_none_admissible(flows, ledger, counts):
-                rates = equal_rate_for_coflow(
-                    coflow, ledger, flows=flows, port_counts=counts
-                )
-                if rates:
-                    allocation.rates.update(rates)
-                    allocation.scheduled_coflows.add(coflow.coflow_id)
-                    continue
-            missed.append(flows)
-
-        if self.work_conservation and missed:
-            self._work_conserve(missed, ledger, allocation)
+        # Per-port pending counts replace the per-flow recount in admission
+        # and D2 rate assignment whenever they exactly describe the
+        # schedulable set (on a multi-tier fabric the round counts the
+        # links of each flow's path instead).
+        ids, groups, group_counts = state.schedulable_groups(order, now)
+        saath_round_rows(
+            ids, groups, group_counts, state.table, ledger, allocation,
+            min_rate=self.config.min_rate,
+            work_conservation=self.work_conservation,
+        )
         return allocation
 
     def next_wakeup(self, state: ClusterState, allocation: Allocation,
@@ -337,35 +279,3 @@ class SaathScheduler(Scheduler):
             for cid in queue_moves:
                 tracker.note_queue_change(cid)
         return tracker.counts(queue_of)
-
-    def _all_or_none_admissible(self, flows: list[Flow], ledger,
-                                port_counts: dict[int, int] | None = None,
-                                ) -> bool:
-        """True if every port the flows touch has ≥ min_rate residual.
-
-        ``port_counts`` (the cluster state's compaction cache) supplies the
-        port set directly when it exactly covers ``flows``, skipping the
-        per-flow set build; the admission predicate is a conjunction over
-        the same ports either way.
-        """
-        min_rate = self.config.min_rate
-        residual = ledger.residual
-        if port_counts is not None:
-            return all(residual(p) >= min_rate for p in port_counts)
-        ports: set[int] = set()
-        for f in flows:
-            ports.add(f.src)
-            ports.add(f.dst)
-        return all(residual(p) >= min_rate for p in ports)
-
-    def _work_conserve(self, missed: list[list[Flow]],
-                       ledger, allocation: Allocation) -> None:
-        """Fig. 7 lines 18–23: fill leftover capacity in scheduling order."""
-        wc_flows: list[Flow] = []
-        for flows in missed:
-            wc_flows.extend(flows)
-        rates = greedy_residual_rates(wc_flows, ledger)
-        if rates:
-            allocation.rates.update(rates)
-            granted = {f.coflow_id for f in wc_flows if f.flow_id in rates}
-            allocation.work_conserved_coflows |= granted

@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from operator import attrgetter
 from time import perf_counter_ns
 
 from .._fastcore import core as _core
 from ..config import SimulationConfig
 from ..simulator.fabric import PortLedger
-from ..simulator.flows import CoFlow, Flow
+from ..simulator.flows import CoFlow
 from ..simulator.state import ClusterState
 from .base import Allocation, Scheduler
 from .queues import QueueTracker
@@ -88,23 +87,17 @@ class AaloScheduler(Scheduler):
     # ---- scheduling -------------------------------------------------------------
 
     def schedule(self, state: ClusterState, now: float) -> Allocation:
-        # Path-aware states stay on the object path: every grant there goes
-        # through ledger.fill_capped, which a LinkLedger bounds by (and
-        # charges to) the flow's whole link path — the row path's inlined
-        # port-only fill would ignore core links.
         timers = self.timers
         if timers is None:
             self._assign_queues(state, now)
-            tracked = state.paths is None and state.rows_tracked()
-            ids, groups = self._gather(state, now, tracked)
-            return self._admit(state, ids, groups, tracked)
+            ids, groups = self._gather(state, now)
+            return self._admit(state, ids, groups)
         t0 = perf_counter_ns()
         self._assign_queues(state, now)
         t1 = perf_counter_ns()
-        tracked = state.paths is None and state.rows_tracked()
-        ids, groups = self._gather(state, now, tracked)
+        ids, groups = self._gather(state, now)
         t2 = perf_counter_ns()
-        allocation = self._admit(state, ids, groups, tracked)
+        allocation = self._admit(state, ids, groups)
         timers.add("schedule.assign", t1 - t0)
         timers.add("schedule.order", t2 - t1)
         timers.add("schedule.admit", perf_counter_ns() - t2)
@@ -118,42 +111,31 @@ class AaloScheduler(Scheduler):
         for coflow, target in tracker.moves(state):
             tracker.demote(coflow, target, now)
 
-    def _gather(self, state: ClusterState, now: float,
-               tracked: bool) -> tuple[list[int], list[list]]:
-        """Schedulable flows per coflow, gathered in active order.
+    def _gather(self, state: ClusterState,
+                now: float) -> tuple[list[int], list[list[int]]]:
+        """Schedulable rows per coflow, gathered in active order.
 
-        Returns parallel lists of coflow ids and their table rows
-        (``tracked``: one batched gather) or :class:`Flow` lists, each in
+        Returns parallel lists of coflow ids and their table rows, each in
         flow-id order (re-sorted for the rare coflow whose flows do not
         carry ascending ids); coflows with nothing schedulable are left
         out. The ports' (queue, FIFO) coflow order is applied when they
         are served (:meth:`_per_sender`).
         """
-        if tracked:
-            ids, groups, _ = state.schedulable_groups(
-                state.active_coflows, now, counts=False)
-            flow_id = state.table.flow_id.__getitem__
-        else:
-            ids, groups = [], []
-            for coflow in state.active_coflows:
-                flows = state.schedulable_flows(coflow, now)
-                if flows:
-                    ids.append(coflow.coflow_id)
-                    groups.append(flows)
-            flow_id = attrgetter("flow_id")
+        ids, groups, _ = state.schedulable_groups(
+            state.active_coflows, now, counts=False)
         unsorted = self._unsorted
         if unsorted:
+            flow_id = state.table.flow_id.__getitem__
             for k, cid in enumerate(ids):
                 if cid in unsorted:
                     # A new list: row groups may be live caches.
                     groups[k] = sorted(groups[k], key=flow_id)
         return ids, groups
 
-    def _per_sender(self, ids: list[int], groups: list[list],
-                    src_of) -> dict[int, list[tuple[int, list]]]:
-        """Each sender port's flows (table rows or :class:`Flow` objects,
-        whose sender ``src_of`` reads) sliced into runs of equal queue, in
-        service order.
+    def _per_sender(self, ids: list[int], groups: list[list[int]],
+                    src_of) -> dict[int, list[tuple[int, list[int]]]]:
+        """Each sender port's rows (whose sender ``src_of`` reads) sliced
+        into runs of equal queue, in service order.
 
         Emitting the coflows in (queue, FIFO) order, each coflow's flows
         in flow-id order, yields exactly the per-port (queue, fifo,
@@ -162,7 +144,8 @@ class AaloScheduler(Scheduler):
         """
         qmap = self.tracker.queue_map
         fifo = self._arrival_order
-        per_sender: dict[int, list[tuple[int, list]]] = defaultdict(list)
+        per_sender: dict[int, list[tuple[int, list[int]]]] = defaultdict(
+            list)
         for k in sorted(range(len(ids)),
                         key=lambda k: (qmap[ids[k]], fifo[ids[k]])):
             queue = qmap[ids[k]]
@@ -174,33 +157,19 @@ class AaloScheduler(Scheduler):
                     runs[-1][1].append(f)
         return per_sender
 
-    def _admit(self, state: ClusterState, ids: list[int], groups: list[list],
-               tracked: bool) -> Allocation:
-        """Serve every sender port from a fresh ledger."""
+    def _admit(self, state: ClusterState, ids: list[int],
+               groups: list[list[int]]) -> Allocation:
+        """Serve every sender port from a fresh ledger.
+
+        The compiled ``aalo_ports`` does the (queue, FIFO) ordering, the
+        per-port bucketing (CSR over senders) and both allocation passes;
+        only the exact PortLedger layout qualifies. Otherwise — no
+        extension, a LinkLedger, or a tracer that wants port-level events
+        — the round runs on the Python reference :meth:`_allocate_port_rows`.
+        """
         ledger = state.acquire_ledger()
         allocation = Allocation()
-        if tracked:
-            self._serve_rows(ids, groups, state.table, ledger, allocation)
-            return allocation
-        per_sender = self._per_sender(ids, groups, attrgetter("src"))
-        # Ports act independently; a deterministic port order stands in for
-        # the real system's races on receiver capacity.
-        for port in sorted(per_sender):
-            self._allocate_port(port, per_sender[port], ledger, allocation)
-        return allocation
-
-    def _serve_rows(self, ids: list[int], groups: list[list[int]], table,
-                    ledger, allocation: Allocation) -> None:
-        """Row-path port service: bucket rows per sender, serve each port.
-
-        Same grants, in the same order, as the object path, with flow
-        identity and ports read from the table columns. The compiled
-        ``aalo_ports`` does the (queue, FIFO) ordering, the per-port
-        bucketing (CSR over senders) and both allocation passes; only the
-        exact PortLedger layout qualifies. When a tracer wants port-level
-        events the round runs on the bit-identical Python twin instead,
-        so per-grant state is visible.
-        """
+        table = state.table
         tracer = self.tracer
         if (table.fastcore and _core is not None
                 and type(ledger) is PortLedger
@@ -215,176 +184,102 @@ class AaloScheduler(Scheduler):
                 ledger.capacity_list, ledger.used_list, ledger.touched_set,
                 allocation.rates, allocation.scheduled_coflows,
             )
-            return
+            return allocation
         if self.metrics is not None:
             self.metrics.inc("kernel.aalo_ports.python")
         per_sender = self._per_sender(ids, groups, table.src.__getitem__)
-        # Hoisted once per round: the ledger's dense lists and the table
-        # columns the per-port pass indexes (property/attribute fetches per
-        # port call used to add up across thousands of rounds).
-        # Receivers observed exhausted anywhere this round: usage only ever
-        # grows within a round, so a later fill against such a port would
-        # grant 0 and commit nothing — skipping it is an exact no-op.
-        dead_dst: set[int] = set()
+        # Links observed exhausted anywhere this round: usage only ever
+        # grows within a round, so a later grant across such a link would
+        # be 0 and commit nothing — skipping it is an exact no-op.
+        dead: set[int] = set()
         lists = (
-            ledger.capacity_list, ledger.used_list, ledger.touched_set,
-            table.flow_id, table.coflow_id, table.dst,
-            allocation.rates, allocation.scheduled_coflows, dead_dst,
+            ledger.path, ledger.capacity_list, ledger.used_list,
+            ledger.touched_set, table.flow_id, table.coflow_id, table.dst,
+            allocation.rates, allocation.scheduled_coflows, dead,
         )
+        # Ports act independently; a deterministic port order stands in for
+        # the real system's races on receiver capacity.
         for port in sorted(per_sender):
             self._allocate_port_rows(port, per_sender[port], lists)
+        return allocation
 
-    def _allocate_port_rows(self, port: int,
-                            runs: list[tuple[int, list[int]]],
-                            lists: tuple) -> None:
-        """Row-path twin of :meth:`_allocate_port` (same grants, same
-        order); flow identity and receiver ports come from the table
-        columns, and :meth:`~repro.simulator.fabric.PortLedger.fill_capped`
-        is fused inline over the ledger's dense lists — every flow here
-        sends from ``port``, so its usage rides in a local accumulator and
-        is written back once (grant arithmetic and at-capacity clamps are
-        identical, and receiver ports live in a disjoint id range, so no
-        read can observe the deferred write). ``lists`` carries the
-        round-hoisted ledger lists, table columns, allocation sinks and
-        the round's dead-receiver memo — an exhausted receiver stays
-        exhausted for the rest of the round (usage only grows), so
-        skipping it is an exact no-op: the fill would have granted 0 and
-        committed nothing."""
-        (lcap, lused, touched, fid, cid, dst_col, rates, scheduled,
-         dead_dst) = lists
-        cap_src = lcap[port]
-        used_src = lused[port]
-        port_capacity = cap_src - used_src  # == ledger.residual(port)
-        if port_capacity <= 0:
-            return
-        weight_of = self._queue_weight
-        total_weight = 0.0
-        for q, _ in runs:
-            total_weight += weight_of[q]
-
-        rates_get = rates.get
-
-        # Pass 1: each occupied queue spends its weighted share, FIFO.
-        for q, run in runs:
-            budget = port_capacity * weight_of[q] / total_weight
-            for i in run:
-                if budget <= 0:
-                    break
-                rate = cap_src - used_src
-                if rate <= 0:  # sender port exhausted
-                    lused[port] = used_src
-                    return
-                dst = dst_col[i]
-                if dst in dead_dst:
-                    continue  # receiver full; later receivers may differ
-                cap_dst = lcap[dst]
-                other = cap_dst - lused[dst]
-                if other < rate:
-                    rate = other
-                if budget < rate:
-                    rate = budget
-                if rate <= 0:
-                    # Sender residual and budget are positive here, so the
-                    # receiver must be exhausted: memoise it.
-                    dead_dst.add(dst)
-                    continue
-                new_used = used_src + rate
-                used_src = new_used if new_used < cap_src else cap_src
-                new_used = lused[dst] + rate
-                lused[dst] = new_used if new_used < cap_dst else cap_dst
-                touched.add(port)
-                touched.add(dst)
-                budget -= rate
-                flow_id = fid[i]
-                rates[flow_id] = rates_get(flow_id, 0.0) + rate
-                scheduled.add(cid[i])
-
-        # Pass 2 (work conservation): spill leftover capacity in strict
-        # priority+FIFO order, e.g. when a queue's share outruns its flows'
-        # receiver capacity.
-        for _, run in runs:
-            for i in run:
-                rate = cap_src - used_src
-                if rate <= 0:  # sender port exhausted
-                    lused[port] = used_src
-                    return
-                dst = dst_col[i]
-                if dst in dead_dst:
-                    continue
-                cap_dst = lcap[dst]
-                other = cap_dst - lused[dst]
-                if other < rate:
-                    rate = other
-                if rate <= 0:
-                    dead_dst.add(dst)
-                    continue
-                new_used = used_src + rate
-                used_src = new_used if new_used < cap_src else cap_src
-                new_used = lused[dst] + rate
-                lused[dst] = new_used if new_used < cap_dst else cap_dst
-                touched.add(port)
-                touched.add(dst)
-                flow_id = fid[i]
-                rates[flow_id] = rates_get(flow_id, 0.0) + rate
-                scheduled.add(cid[i])
-        lused[port] = used_src
-
-    def _allocate_port(self, port: int,
-                       runs: list[tuple[int, list[Flow]]],
-                       ledger, allocation: Allocation) -> None:
+    def _allocate_port_rows(self, port: int, runs: list[tuple[int, list[int]]],
+                       lists: tuple) -> None:
         """Weighted queue shares at one sender port, then a spill pass.
 
-        ``runs`` holds the port's schedulable flows sliced into runs of
-        equal queue, in (queue, fifo, flow_id) order. Each grant goes
-        through :meth:`~repro.simulator.fabric.PortLedger.fill_capped` —
-        one fused residual/commit call whose rate is the same
-        ``min(budget, residual(src), residual(dst))`` as the unfused pair.
+        ``runs`` holds the port's schedulable rows sliced into runs of
+        equal queue, in (queue, fifo, flow_id) order. Each grant is
+        ``min(budget, residual of every link on the flow's path)``,
+        committed along the path with the ledger's at-capacity clamp.
+        ``lists`` carries the round-hoisted ledger path lookup and dense
+        lists, table columns, allocation sinks and the round's
+        dead-link memo. A flow's path is looked up before the memo is
+        consulted, so every flow the port reaches is assigned its path in
+        service order whether or not it is granted.
         """
-        port_capacity = ledger.residual(port)
+        (path, lcap, lused, touched, fid, cid, dst_col, rates, scheduled,
+         dead) = lists
+        cap_src = lcap[port]
+        port_capacity = cap_src - lused[port]  # == ledger.residual(port)
         if port_capacity <= 0:
             return
         weight_of = self._queue_weight
         total_weight = 0.0
         for q, _ in runs:
             total_weight += weight_of[q]
-
-        fill_capped = ledger.fill_capped
-        rates = allocation.rates
         rates_get = rates.get
-        scheduled = allocation.scheduled_coflows
 
-        # Every flow here sends from ``port``, so once the port's residual
-        # hits zero no later flow (in either pass) can receive a rate —
-        # the ledger's -1.0 sentinel bails out instead of scanning the
-        # remaining no-op iterations.
+        def grant(i: int, budget: float) -> float:
+            """Grant row ``i`` up to ``budget``: the rate, 0.0 when a link
+            beyond the sender is exhausted, -1.0 when the sender is."""
+            rate = cap_src - lused[port]
+            if rate <= 0:
+                return -1.0
+            links = path(port, dst_col[i])
+            for link in links:
+                if link in dead:
+                    return 0.0
+            if budget < rate:
+                rate = budget
+            for link in links:
+                other = lcap[link] - lused[link]
+                if other < rate:
+                    rate = other
+            if rate <= 0:
+                # Sender residual and budget are positive here, so some
+                # later link of the path is exhausted: memoise it.
+                for link in links:
+                    if lcap[link] - lused[link] <= 0:
+                        dead.add(link)
+                return 0.0
+            for link in links:
+                new_used = lused[link] + rate
+                cap = lcap[link]
+                lused[link] = new_used if new_used < cap else cap
+            touched.update(links)
+            flow_id = fid[i]
+            rates[flow_id] = rates_get(flow_id, 0.0) + rate
+            scheduled.add(cid[i])
+            return rate
 
         # Pass 1: each occupied queue spends its weighted share, FIFO.
         for q, run in runs:
             budget = port_capacity * weight_of[q] / total_weight
-            for flow in run:
+            for i in run:
                 if budget <= 0:
                     break
-                rate = fill_capped(port, flow.dst, budget)
-                if rate <= 0:
-                    if rate < 0:
-                        return  # sender port exhausted
-                    continue  # receiver full; later receivers may differ
+                rate = grant(i, budget)
+                if rate < 0:
+                    return  # sender port exhausted
                 budget -= rate
-                rates[flow.flow_id] = rates_get(flow.flow_id, 0.0) + rate
-                scheduled.add(flow.coflow_id)
 
         # Pass 2 (work conservation): spill leftover capacity in strict
         # priority+FIFO order, e.g. when a queue's share outruns its flows'
         # receiver capacity.
         for _, run in runs:
-            for flow in run:
-                rate = fill_capped(port, flow.dst, math.inf)
-                if rate <= 0:
-                    if rate < 0:
-                        return  # sender port exhausted
-                    continue
-                rates[flow.flow_id] = rates_get(flow.flow_id, 0.0) + rate
-                scheduled.add(flow.coflow_id)
+            for i in run:
+                if grant(i, math.inf) < 0:
+                    return  # sender port exhausted
 
     def next_wakeup(self, state: ClusterState, allocation: Allocation,
                     now: float) -> float | None:

@@ -21,7 +21,7 @@ from collections import defaultdict
 
 from ..config import SimulationConfig
 from ..errors import ConfigError
-from ..simulator.flows import CoFlow, Flow
+from ..simulator.flows import CoFlow
 from ..simulator.state import ClusterState
 from .base import Allocation, Scheduler
 
@@ -51,62 +51,56 @@ class BaraatFifoLmScheduler(Scheduler):
         self._arrival_order.pop(coflow.coflow_id, None)
 
     def schedule(self, state: ClusterState, now: float) -> Allocation:
-        per_sender: dict[int, list[Flow]] = defaultdict(list)
+        table = state.table
+        src_col, dst_col = table.src, table.dst
+        fid, cid = table.flow_id, table.coflow_id
+        per_sender: dict[int, list[int]] = defaultdict(list)
         for coflow in state.active_coflows:
-            for f in state.schedulable_flows(coflow, now):
-                per_sender[f.src].append(f)
+            for i in state.schedulable_rows(coflow, now):
+                per_sender[src_col[i]].append(i)
 
         ledger = state.acquire_ledger()
+        residual = ledger.residual
+        path = ledger.path
         allocation = Allocation()
+        rates = allocation.rates
+        order = self._arrival_order
         for port in sorted(per_sender):
-            flows = sorted(
+            rows = sorted(
                 per_sender[port],
-                key=lambda f: (self._arrival_order.get(f.coflow_id, 1 << 60),
-                               f.flow_id),
+                key=lambda i: (order.get(cid[i], 1 << 60), fid[i]),
             )
             # The first `multiplexing_level` distinct coflows at this port
             # are eligible; their flows share the port equally.
-            eligible: list[Flow] = []
+            eligible: list[int] = []
             admitted: set[int] = set()
-            for f in flows:
-                if f.coflow_id in admitted:
-                    eligible.append(f)
+            for i in rows:
+                if cid[i] in admitted:
+                    eligible.append(i)
                 elif len(admitted) < self.multiplexing_level:
-                    admitted.add(f.coflow_id)
-                    eligible.append(f)
+                    admitted.add(cid[i])
+                    eligible.append(i)
             if not eligible:
                 continue
-            # Multi-tier topologies: a flow's grant is additionally capped
-            # by every core link on its path (extra_links is empty on the
-            # big-switch default, leaving the classic arithmetic intact);
-            # LinkLedger.commit then charges the same links.
-            extra_links = (
-                state.paths.extra_links if state.paths is not None
-                else None
-            )
-            fair = ledger.residual(port) / len(eligible)
-            for f in eligible:
-                rate = min(fair, ledger.residual(f.dst))
-                if extra_links is not None:
-                    for link in extra_links(f.src, f.dst):
-                        rate = min(rate, ledger.residual(link))
+            # A flow's grant is capped by the fair share and by every
+            # other link of its path (the receiver, plus any core links on
+            # a multi-tier fabric); ledger.commit charges the same links.
+            fair = residual(port) / len(eligible)
+            for i in eligible:
+                rate = fair
+                for link in path(port, dst_col[i])[1:]:
+                    rate = min(rate, residual(link))
                 if rate <= 0:
                     continue
-                ledger.commit(f.src, f.dst, rate)
-                allocation.rates[f.flow_id] = (
-                    allocation.rates.get(f.flow_id, 0.0) + rate
-                )
-                allocation.scheduled_coflows.add(f.coflow_id)
+                ledger.commit(port, dst_col[i], rate)
+                rates[fid[i]] = rates.get(fid[i], 0.0) + rate
+                allocation.scheduled_coflows.add(cid[i])
             # Leftovers (receiver-capped flows) spill to eligible flows.
-            for f in eligible:
-                extra = min(ledger.residual(f.src), ledger.residual(f.dst))
-                if extra_links is not None:
-                    for link in extra_links(f.src, f.dst):
-                        extra = min(extra, ledger.residual(link))
+            for i in eligible:
+                extra = min(residual(link)
+                            for link in path(port, dst_col[i]))
                 if extra <= 0:
                     continue
-                ledger.commit(f.src, f.dst, extra)
-                allocation.rates[f.flow_id] = (
-                    allocation.rates.get(f.flow_id, 0.0) + extra
-                )
+                ledger.commit(port, dst_col[i], extra)
+                rates[fid[i]] = rates.get(fid[i], 0.0) + extra
         return allocation

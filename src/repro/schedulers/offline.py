@@ -23,13 +23,9 @@ from typing import Callable
 
 from ..config import SimulationConfig
 from ..simulator.flows import CoFlow
-from ..simulator.ratealloc import (
-    greedy_residual_rates,
-    madd_rates,
-    madd_rates_paths,
-)
 from ..simulator.state import ClusterState
 from .base import Allocation, Scheduler
+from .varys import madd_in_order
 
 #: Signature of a priority-key function: (coflow, state) → sort key.
 KeyFunc = Callable[[CoFlow, ClusterState], float]
@@ -52,36 +48,7 @@ class OrderedClairvoyantScheduler(Scheduler):
             key=lambda c: (self.priority_key(c, state),
                            c.arrival_time, c.coflow_id),
         )
-        ledger = state.acquire_ledger()
-        allocation = Allocation()
-        skipped: list[CoFlow] = []
-        paths = state.paths
-        for coflow in order:
-            flows = state.schedulable_flows(coflow, now)
-            if not flows:
-                continue
-            if paths is not None:
-                # Multi-tier topology: Γ and the committed rates must
-                # respect core links, not just host ports.
-                rates = madd_rates_paths(coflow, ledger, paths, flows=flows)
-            else:
-                rates = madd_rates(coflow, ledger, flows=flows)
-            if rates:
-                allocation.rates.update(rates)
-                allocation.scheduled_coflows.add(coflow.coflow_id)
-            else:
-                skipped.append(coflow)
-        if skipped:
-            wc_flows = [
-                f for c in skipped for f in state.schedulable_flows(c, now)
-            ]
-            extra = greedy_residual_rates(wc_flows, ledger)
-            if extra:
-                allocation.rates.update(extra)
-                allocation.work_conserved_coflows |= {
-                    f.coflow_id for f in wc_flows if f.flow_id in extra
-                }
-        return allocation
+        return madd_in_order(state, order, now)
 
 
 class ScfScheduler(OrderedClairvoyantScheduler):

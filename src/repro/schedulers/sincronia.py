@@ -22,13 +22,9 @@ from collections import defaultdict
 
 from ..config import SimulationConfig
 from ..simulator.flows import CoFlow
-from ..simulator.ratealloc import (
-    greedy_residual_rates,
-    madd_rates,
-    madd_rates_paths,
-)
 from ..simulator.state import ClusterState
 from .base import Allocation, Scheduler
+from .varys import madd_in_order
 
 
 def bssi_order(coflows: list[CoFlow]) -> list[CoFlow]:
@@ -101,34 +97,7 @@ class SincroniaScheduler(Scheduler):
     clairvoyant = True
 
     def schedule(self, state: ClusterState, now: float) -> Allocation:
-        order = bssi_order(list(state.active_coflows))
-        ledger = state.acquire_ledger()
-        allocation = Allocation()
-        skipped: list[CoFlow] = []
-        paths = state.paths
-        for coflow in order:
-            flows = state.schedulable_flows(coflow, now)
-            if not flows:
-                continue
-            if paths is not None:
-                # BSSI keeps its host-port ordering; the committed rates
-                # additionally respect core-link capacity.
-                rates = madd_rates_paths(coflow, ledger, paths, flows=flows)
-            else:
-                rates = madd_rates(coflow, ledger, flows=flows)
-            if rates:
-                allocation.rates.update(rates)
-                allocation.scheduled_coflows.add(coflow.coflow_id)
-            else:
-                skipped.append(coflow)
-        if skipped:
-            leftovers = [
-                f for c in skipped for f in state.schedulable_flows(c, now)
-            ]
-            extra = greedy_residual_rates(leftovers, ledger)
-            if extra:
-                allocation.rates.update(extra)
-                allocation.work_conserved_coflows |= {
-                    f.coflow_id for f in leftovers if f.flow_id in extra
-                }
-        return allocation
+        # BSSI keeps its host-port ordering; the committed rates respect
+        # every link of each flow's path.
+        return madd_in_order(state, bssi_order(list(state.active_coflows)),
+                             now)

@@ -23,15 +23,45 @@ import math
 
 from ..config import SimulationConfig
 from ..simulator.flows import CoFlow
-from ..simulator.ratealloc import (
-    greedy_residual_rates,
-    greedy_residual_rates_rows,
-    madd_rates,
-    madd_rates_paths,
-    madd_rates_rows,
-)
+from ..simulator.ratealloc import greedy_residual_rates_rows, madd_rates_rows
 from ..simulator.state import ClusterState
 from .base import Allocation, Scheduler
+
+
+def madd_in_order(state: ClusterState, order: list[CoFlow],
+                  now: float) -> Allocation:
+    """The clairvoyant baselines' round: each coflow of ``order`` in turn
+    gets MADD rates on the residual capacity; coflows fully blocked at some
+    link (rare) are then backfilled greedily, in the same order. On a
+    multi-tier fabric Γ and the committed rates cover every link of each
+    flow's path, while the *ordering* keeps each policy's host-port rule
+    (the clairvoyant priority is a policy choice, the rate feasibility is
+    not)."""
+    table = state.table
+    ledger = state.acquire_ledger()
+    allocation = Allocation()
+    skipped: list[CoFlow] = []
+    for coflow in order:
+        rows = state.schedulable_rows(coflow, now)
+        if not rows:
+            continue
+        rates = madd_rates_rows(rows, table, ledger)
+        if rates:
+            allocation.rates.update(rates)
+            allocation.scheduled_coflows.add(coflow.coflow_id)
+        else:
+            skipped.append(coflow)
+    if skipped:
+        cid = table.coflow_id
+        fid = table.flow_id
+        wc_rows = [i for c in skipped for i in state.schedulable_rows(c, now)]
+        extra = greedy_residual_rates_rows(wc_rows, table, ledger)
+        if extra:
+            allocation.rates.update(extra)
+            allocation.work_conserved_coflows |= {
+                cid[i] for i in wc_rows if fid[i] in extra
+            }
+    return allocation
 
 
 class VarysSebfScheduler(Scheduler):
@@ -66,79 +96,11 @@ class VarysSebfScheduler(Scheduler):
 
     def schedule(self, state: ClusterState, now: float) -> Allocation:
         self._refresh_gamma_cache(state)
-        # Path-aware states take the object path with the path-aware MADD:
-        # Γ then covers core links, so rates respect the true bottleneck
-        # (SEBF *ordering* keeps the paper's host-port Γ — the clairvoyant
-        # priority is a policy choice, the rate feasibility is not).
-        paths = state.paths
-        if paths is None and state.rows_tracked():
-            return self._schedule_rows(state, now)
         order = sorted(
             state.active_coflows,
             key=lambda c: (self._gamma(c, state), c.arrival_time, c.coflow_id),
         )
-        ledger = state.acquire_ledger()
-        allocation = Allocation()
-        skipped: list[CoFlow] = []
-        for coflow in order:
-            flows = state.schedulable_flows(coflow, now)
-            if not flows:
-                continue
-            if paths is not None:
-                rates = madd_rates_paths(coflow, ledger, paths, flows=flows)
-            else:
-                rates = madd_rates(coflow, ledger, flows=flows)
-            if rates:
-                allocation.rates.update(rates)
-                allocation.scheduled_coflows.add(coflow.coflow_id)
-            else:
-                skipped.append(coflow)
-        # Backfill coflows fully blocked at some port (rare): greedy fill.
-        if skipped:
-            wc_flows = [
-                f for c in skipped for f in state.schedulable_flows(c, now)
-            ]
-            extra = greedy_residual_rates(wc_flows, ledger)
-            if extra:
-                allocation.rates.update(extra)
-                allocation.work_conserved_coflows |= {
-                    f.coflow_id for f in wc_flows if f.flow_id in extra
-                }
-        return allocation
-
-    def _schedule_rows(self, state: ClusterState, now: float) -> Allocation:
-        """Row-path round: SEBF order, MADD and backfill over table rows."""
-        order = sorted(
-            state.active_coflows,
-            key=lambda c: (self._gamma(c, state), c.arrival_time, c.coflow_id),
-        )
-        table = state.table
-        ledger = state.acquire_ledger()
-        allocation = Allocation()
-        skipped: list[CoFlow] = []
-        for coflow in order:
-            rows = state.schedulable_rows(coflow, now)
-            if not rows:
-                continue
-            rates = madd_rates_rows(rows, table, ledger)
-            if rates:
-                allocation.rates.update(rates)
-                allocation.scheduled_coflows.add(coflow.coflow_id)
-            else:
-                skipped.append(coflow)
-        if skipped:
-            cid = table.coflow_id
-            fid = table.flow_id
-            wc_rows = [
-                i for c in skipped for i in state.schedulable_rows(c, now)
-            ]
-            extra = greedy_residual_rates_rows(wc_rows, table, ledger)
-            if extra:
-                allocation.rates.update(extra)
-                allocation.work_conserved_coflows |= {
-                    cid[i] for i in wc_rows if fid[i] in extra
-                }
-        return allocation
+        return madd_in_order(state, order, now)
 
     def _gamma(self, coflow: CoFlow, state: ClusterState) -> float:
         """Effective bottleneck completion time at full port capacity.
@@ -156,30 +118,19 @@ class VarysSebfScheduler(Scheduler):
     def _compute_gamma(self, coflow: CoFlow, state: ClusterState) -> float:
         load: dict[int, float] = {}
         get = load.get
-        rows = state.pending_rows(coflow)
-        if rows is not None:
-            t = state.table
-            ft, vol, bs = t.finish_time, t.volume, t.bytes_sent
-            src_col, dst_col = t.src, t.dst
-            for i in rows:
-                if ft[i] is not None:
-                    continue
-                remaining = vol[i] - bs[i]
-                if remaining < 0.0:
-                    remaining = 0.0
-                src = src_col[i]
-                dst = dst_col[i]
-                load[src] = get(src, 0.0) + remaining
-                load[dst] = get(dst, 0.0) + remaining
-        else:
-            for f in state.pending_flows(coflow):
-                if f.finish_time is not None:
-                    continue
-                remaining = f.volume - f.bytes_sent
-                if remaining < 0.0:
-                    remaining = 0.0
-                load[f.src] = get(f.src, 0.0) + remaining
-                load[f.dst] = get(f.dst, 0.0) + remaining
+        t = state.table
+        ft, vol, bs = t.finish_time, t.volume, t.bytes_sent
+        src_col, dst_col = t.src, t.dst
+        for i in state.pending_rows(coflow):
+            if ft[i] is not None:
+                continue
+            remaining = vol[i] - bs[i]
+            if remaining < 0.0:
+                remaining = 0.0
+            src = src_col[i]
+            dst = dst_col[i]
+            load[src] = get(src, 0.0) + remaining
+            load[dst] = get(dst, 0.0) + remaining
         if not load:
             return 0.0
         if not state.capacity_override:

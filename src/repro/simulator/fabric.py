@@ -178,6 +178,16 @@ class PortLedger:
         """True if ``port`` still has at least ``min_rate`` bytes/s free."""
         return self.residual(port) >= min_rate
 
+    def path(self, src: int, dst: int) -> tuple[int, ...]:
+        """Every link a ``src → dst`` flow crosses, each charged its rate.
+
+        On the big switch that is just the two ports; a
+        :class:`~repro.simulator.topology.LinkLedger` appends the core
+        links of the pair's assigned path. The rate allocators read paths
+        only through this method.
+        """
+        return (src, dst)
+
     def commit(self, src: int, dst: int, rate: float) -> None:
         """Reserve ``rate`` bytes/s on the sender and receiver of one flow."""
         if rate < 0:
@@ -202,68 +212,6 @@ class PortLedger:
         if new_used > cap * _CAPACITY_TOLERANCE:
             raise CapacityViolationError(str(dst), new_used, cap)
         used[dst] = new_used if new_used < cap else cap
-
-    def fill_capped(self, src: int, dst: int, cap: float) -> float:
-        """Commit and return ``min(cap, residual(src), residual(dst))``.
-
-        One fused call for the per-port pass of queue-share allocators
-        (Aalo serves thousands of flows per round, so the residual/commit
-        call pair is material). Commits nothing and returns 0.0 when the
-        *receiver* is exhausted or ``cap <= 0``, and **-1.0** when the
-        sender itself has no residual — the sentinel lets a caller walking
-        one sender's flow list bail out without a second residual probe.
-        Usage updates apply the same at-capacity clamp as :meth:`commit`,
-        so the ledger state is bit-identical to
-        ``commit(src, dst, min(...))``; over-commit is impossible by
-        construction, so the violation check is skipped.
-        """
-        if self._metrics is not None:
-            self._metrics.inc("ledger.fill_capped")
-        used = self._used
-        capacity = self._capacity
-        cap_src = capacity[src]
-        cap_dst = capacity[dst]
-        rate = cap_src - used[src]
-        if rate <= 0:
-            return -1.0
-        other = cap_dst - used[dst]
-        if other < rate:
-            rate = other
-        if cap < rate:
-            rate = cap
-        if rate <= 0:
-            return 0.0
-        new_used = used[src] + rate
-        used[src] = new_used if new_used < cap_src else cap_src
-        new_used = used[dst] + rate
-        used[dst] = new_used if new_used < cap_dst else cap_dst
-        self._touched.add(src)
-        self._touched.add(dst)
-        return rate
-
-    def fill(self, src: int, dst: int) -> float:
-        """Commit and return ``min(residual(src), residual(dst))``.
-
-        The greedy work-conservation primitive: grants whatever the tighter
-        of the two ports still has. Returns 0.0 (committing nothing) when
-        either port is exhausted. Cannot over-commit by construction, so it
-        skips :meth:`commit`'s violation check.
-        """
-        if self._metrics is not None:
-            self._metrics.inc("ledger.fill")
-        used = self._used
-        capacity = self._capacity
-        rate = capacity[src] - used[src]
-        rate_dst = capacity[dst] - used[dst]
-        if rate_dst < rate:
-            rate = rate_dst
-        if rate <= 0:
-            return 0.0
-        used[src] += rate
-        used[dst] += rate
-        self._touched.add(src)
-        self._touched.add(dst)
-        return rate
 
     def reset(self) -> None:
         """Release every commitment in O(ports touched since last reset).

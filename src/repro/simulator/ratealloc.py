@@ -1,192 +1,60 @@
 """Rate-allocation substrate: water-filling max-min fairness and MADD.
 
-Three allocators used across the schedulers:
+The allocators used across the schedulers:
 
-* :func:`max_min_fair` — global per-flow max-min fairness via progressive
-  filling. This is the fluid model of per-flow TCP fair sharing and powers
-  the UC-TCP baseline (§6.1) and intra-queue fair sharing.
-* :func:`madd_rates` — Minimum-Allocation-for-Desired-Duration (Varys §4 /
-  paper §4.2 D2): give every flow of a coflow the rate that finishes it
-  exactly at the coflow's bottleneck completion time.
-* :func:`equal_rate_for_coflow` — Saath's D2 rule: one equal rate for all
-  flows of a coflow, the minimum of the per-flow fair caps.
+* :func:`max_min_fair_rows` — global per-flow max-min fairness via
+  progressive filling. This is the fluid model of per-flow TCP fair
+  sharing and powers the UC-TCP baseline (§6.1).
+* :func:`madd_rates_rows` — Minimum-Allocation-for-Desired-Duration
+  (Varys §4 / paper §4.2 D2): give every flow of a coflow the rate that
+  finishes it exactly at the coflow's bottleneck completion time.
+* :func:`equal_rate_for_coflow_rows` — Saath's D2 rule: one equal rate for
+  all flows of a coflow, the minimum of the per-flow fair caps.
+* :func:`greedy_residual_rates_rows` — the work-conservation fill.
+* :func:`saath_round_rows` — Saath's whole admission round composed from
+  the above (all-or-none, D2 equal rate, work conservation).
 
-All functions operate on a :class:`~repro.simulator.fabric.PortLedger` so
-the caller controls what capacity is visible (residual capacity after
-higher-priority allocations).
+Every allocator takes flow-table row indices plus the owning
+:class:`~repro.simulator.state.FlowTable` and works on a
+:class:`~repro.simulator.fabric.PortLedger`, so the caller controls what
+capacity is visible (residual capacity after higher-priority allocations).
+A flow constrains — and is charged on — every link of its *path*, which
+the ledger supplies through one method, :meth:`PortLedger.path`: on the
+big switch that is ``(src, dst)``; a
+:class:`~repro.simulator.topology.LinkLedger` appends the core links its
+:class:`~repro.simulator.topology.PathMap` assigns to the pair, so rates
+saturate at the true bottleneck link. Path lookups happen in the order the
+rows are walked, which fixes the order in which lazily-chosen paths (the
+``least-loaded`` selector) are assigned.
 
-Each allocator exists in two forms performing the *same arithmetic in the
-same order* (bit-identical outputs, asserted by the equivalence tests):
-
-* the object form (``flows``: a sequence of :class:`Flow`), used by tests
-  and hand-assembled states; and
-* a ``*_rows`` form taking table row indices plus the owning
-  :class:`~repro.simulator.state.FlowTable`, used by the schedulers on
-  engine-driven states — per-flow state is read by integer-indexing the
-  table columns and the ledger's dense per-port lists, with no attribute
-  or dict dispatch in the fill loops.
-
-Multi-tier topologies add a third form: ``*_paths`` twins
-(:func:`max_min_fair_paths`, :func:`madd_rates_paths`,
-:func:`equal_rate_for_coflow_paths`) that treat every flow as a *path* of
-links — sender port, receiver port, plus the core links a
-:class:`~repro.simulator.topology.PathMap` assigns to the pair — so the
-computed rates saturate at the true bottleneck link. On a big-switch
-topology every path is just ``(src, dst)`` and the path twins are
-bit-identical to the port-only forms (asserted by the fuzz suite).
-
-:func:`saath_round_rows` composes the row forms into Saath's whole
-big-switch admission round (all-or-none, D2 equal rate, work
-conservation); it is the Python reference of the compiled
-``saath_round`` kernel.
+Each allocator is the Python reference of a compiled kernel in
+:mod:`repro._fastcore` (``mmf_fill``, ``madd_rows``, ``greedy_rows``,
+``saath_round``) performing the same IEEE-754 operations in the same
+order. The kernels address the ledger's dense ``capacity_list`` /
+``used_list`` buffers as port-indexed C arrays, so they are dispatched
+first and only for an exact :class:`PortLedger` on a table whose
+``fastcore`` flag is set; every other call runs the Python reference.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .._fastcore import core as _core
-from .fabric import _CAPACITY_TOLERANCE, CapacityViolationError, PortLedger
-from .flows import CoFlow, Flow
+from .fabric import PortLedger
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (state -> fabric)
     from ..schedulers.base import Allocation
     from .state import FlowTable
-    from .topology import PathMap
 
 
-def max_min_fair(
-    flows: Sequence[Flow],
-    ledger: PortLedger,
-    *,
-    rate_cap: float | None = None,
-    commit: bool = True,
-) -> dict[int, float]:
-    """Max-min fair rates for ``flows`` over the ledger's residual capacity.
-
-    Progressive filling: repeatedly find the tightest port (smallest residual
-    divided by its number of unfrozen flows), freeze those flows at the fair
-    share, subtract, and continue. The filling loop runs over a dense port
-    index in *first-seen* order — the order the original implementation
-    inserted ports into its scan dict — so the tie-break (first port in
-    insertion order among equal shares) and every residual
-    division/subtraction are unchanged; list indexing just replaces the
-    dict churn that used to dominate UC-TCP rounds.
-
-    Returns a mapping ``flow_id -> rate``; rates of all flows are committed
-    to the ledger. ``rate_cap`` optionally bounds every flow's rate (used to
-    model per-flow demand limits). ``commit=False`` skips the final ledger
-    commits — for callers that discard the ledger after the round (UC-TCP),
-    where the per-flow bookkeeping is pure overhead; the rates themselves
-    respect every port capacity either way.
-    """
-    active_map: dict[int, Flow] = {
-        f.flow_id: f for f in flows if f.finish_time is None
-    }
-    if not active_map:
-        return {}
-    active = list(active_map.values())
-    fids = list(active_map)
-    if rate_cap is not None and rate_cap <= 0:
-        return dict.fromkeys(fids, 0.0)
-
-    # Dense port indexing in first-seen order (src before dst per flow).
-    port_index: dict[int, int] = {}
-    residual: list[float] = []
-    live: list[int] = []
-    #: dense port -> flow positions touching it, in flow order.
-    members: list[list[int]] = []
-    num_flows = len(active)
-    src_i: list[int] = [0] * num_flows
-    dst_i: list[int] = [0] * num_flows
-    ledger_residual = ledger.residual
-    for i, f in enumerate(active):
-        port = f.src
-        j = port_index.get(port)
-        if j is None:
-            j = port_index[port] = len(residual)
-            residual.append(ledger_residual(port))
-            live.append(1)
-            members.append([i])
-        else:
-            live[j] += 1
-            members[j].append(i)
-        src_i[i] = j
-        port = f.dst
-        j = port_index.get(port)
-        if j is None:
-            j = port_index[port] = len(residual)
-            residual.append(ledger_residual(port))
-            live.append(1)
-            members.append([i])
-        else:
-            live[j] += 1
-            members[j].append(i)
-        dst_i[i] = j
-
-    frozen = bytearray(num_flows)
-    rate_of: list[float] = [0.0] * num_flows
-    num_ports = len(residual)
-    remaining = num_flows
-
-    while remaining:
-        # Tightest port among those with unfrozen flows. Dense indices were
-        # assigned in first-seen order, so ascending-index iteration *is*
-        # the original insertion-order scan and the tie-break (first port
-        # among equal shares) is preserved; dead ports just skip.
-        best_j = -1
-        best_share = math.inf
-        for j in range(num_ports):
-            count = live[j]
-            if count == 0:
-                continue
-            share = residual[j] / count
-            if share < best_share:
-                best_share = share
-                best_j = j
-        if best_j < 0:
-            break
-
-        if rate_cap is not None and rate_cap < best_share:
-            # Every remaining flow can take the cap without saturating any
-            # port: freeze them all at the cap. (The original loop also
-            # updated residuals here, but nothing reads them after this
-            # terminal branch.)
-            for i in range(num_flows):
-                if not frozen[i]:
-                    rate_of[i] = rate_cap
-            break
-
-        # Freeze the flows on the bottleneck port at the fair share.
-        # Numerical guard, applied per update: residuals can dip a hair
-        # below zero. Clamping after each subtraction instead of once at
-        # iteration end yields the same final value — a positive partial
-        # result is unclamped either way, and once any partial result goes
-        # negative both variants end the iteration at exactly 0.0.
-        for i in members[best_j]:
-            if frozen[i]:
-                continue
-            frozen[i] = 1
-            rate_of[i] = best_share
-            j = src_i[i]
-            nr = residual[j] - best_share
-            residual[j] = nr if nr >= 0 else 0.0
-            live[j] -= 1
-            j = dst_i[i]
-            nr = residual[j] - best_share
-            residual[j] = nr if nr >= 0 else 0.0
-            live[j] -= 1
-            remaining -= 1
-
-    rates = dict(zip(fids, rate_of))
-    if commit:
-        ledger_commit = ledger.commit
-        for f, rate in zip(active, rate_of):
-            if rate > 0:
-                ledger_commit(f.src, f.dst, rate)
-    return rates
+def _compiled(table: "FlowTable", ledger: PortLedger) -> bool:
+    """True when the compiled kernels may serve this call: the extension
+    is built, the table opted in, and the ledger is the port-indexed
+    layout the kernels address (a LinkLedger's path charges are not
+    replicated in C)."""
+    return table.fastcore and _core is not None and type(ledger) is PortLedger
 
 
 def max_min_fair_rows_raw(
@@ -198,20 +66,22 @@ def max_min_fair_rows_raw(
     commit: bool = True,
     prefiltered: bool = False,
 ) -> tuple[list[int], list[float]]:
-    """Row-path core of :func:`max_min_fair` (same fills, same tie-breaks).
+    """Max-min fair rates for ``rows`` over the ledger's residual capacity.
 
-    ``rows`` are flow-table row indices; per-flow ports and liveness come
-    from the table columns and the initial per-port residuals from the
-    ledger's dense capacity/usage lists, so the build pass does no
-    attribute dispatch. Returns the unfinished rows (in input order) and
-    their rates as two aligned lists — callers that need a ``flow_id``
-    -keyed map use :func:`max_min_fair_rows`; UC-TCP consumes the raw pair
-    directly, skipping two O(flows) dict passes per round.
+    Progressive filling: repeatedly find the tightest link (smallest
+    residual divided by its number of unfrozen flows), freeze those flows
+    at the fair share, subtract it along each frozen flow's path, and
+    continue. Links get dense indices in first-seen order (per flow: the
+    path in ledger order), and the tie-break among equal shares is the
+    first link in that order.
 
-    ``prefiltered=True`` asserts that ``rows`` holds no finished flows
-    (true for pending-row caches, which drop rows on completion), skipping
-    the liveness re-filter. ``rate_cap <= 0`` zeroes every rate, as in the
-    object form.
+    Returns the unfinished rows (in input order) and their rates as two
+    aligned lists. ``prefiltered=True`` asserts that ``rows`` holds no
+    finished flows (true for pending-row caches), skipping the liveness
+    re-filter. ``rate_cap`` optionally bounds every flow's rate (``<= 0``
+    zeroes them all). ``commit=False`` skips the final ledger commits —
+    for callers that discard the ledger after the round (UC-TCP); the
+    rates respect every link capacity either way.
     """
     if prefiltered:
         active = list(rows) if not isinstance(rows, list) else rows
@@ -223,11 +93,8 @@ def max_min_fair_rows_raw(
     if not num_flows or (rate_cap is not None and rate_cap <= 0):
         return active, rate_of
 
-    # Compiled twin: the exact-type check keeps LinkLedger subclasses
-    # (path-charging commits) on the Python path, whose virtual dispatch
-    # the C kernel deliberately does not replicate.
     metrics = ledger._metrics
-    if table.fastcore and _core is not None and type(ledger) is PortLedger:
+    if _compiled(table, ledger):
         if metrics is not None:
             metrics.inc("kernel.mmf_fill.fastcore")
         return active, _core.mmf_fill(
@@ -241,53 +108,40 @@ def max_min_fair_rows_raw(
     dst_col = table.dst
     lcap = ledger.capacity_list
     lused = ledger.used_list
+    path = ledger.path
 
-    # Dense port indexing in first-seen order (src before dst per flow).
-    # Port ids are already dense fabric indices, so the first-seen map is a
-    # flat position list instead of a dict (same assignment order).
-    port_pos: list[int] = [-1] * len(lcap)
+    # Link ids are dense, so the first-seen map is a flat position list.
+    link_pos: list[int] = [-1] * len(lcap)
     residual: list[float] = []
     live: list[int] = []
-    #: dense port -> flow positions touching it, in flow order.
+    #: dense link -> flow positions crossing it, in flow order.
     members: list[list[int]] = []
-    src_i: list[int] = [0] * num_flows
-    dst_i: list[int] = [0] * num_flows
+    #: flow position -> dense indices of every link on its path.
+    path_idx: list[list[int]] = [[]] * num_flows
     for k, i in enumerate(active):
-        port = src_col[i]
-        j = port_pos[port]
-        if j < 0:
-            port_pos[port] = j = len(residual)
-            r = lcap[port] - lused[port]  # == ledger.residual(port)
-            residual.append(r if r >= 0.0 else 0.0)
-            live.append(1)
-            members.append([k])
-        else:
-            live[j] += 1
-            members[j].append(k)
-        src_i[k] = j
-        port = dst_col[i]
-        j = port_pos[port]
-        if j < 0:
-            port_pos[port] = j = len(residual)
-            r = lcap[port] - lused[port]
-            residual.append(r if r >= 0.0 else 0.0)
-            live.append(1)
-            members.append([k])
-        else:
-            live[j] += 1
-            members[j].append(k)
-        dst_i[k] = j
+        idx = []
+        for link in path(src_col[i], dst_col[i]):
+            j = link_pos[link]
+            if j < 0:
+                link_pos[link] = j = len(residual)
+                r = lcap[link] - lused[link]  # == ledger.residual(link)
+                residual.append(r if r >= 0.0 else 0.0)
+                live.append(1)
+                members.append([k])
+            else:
+                live[j] += 1
+                members[j].append(k)
+            idx.append(j)
+        path_idx[k] = idx
 
     frozen = bytearray(num_flows)
     remaining = num_flows
     inf = math.inf
-    #: Per-port fair share ``residual / live`` (inf once drained),
+    #: Per-link fair share ``residual / live`` (inf once drained),
     #: maintained incrementally: a share only changes when one of its
-    #: port's inputs changes, so the bottleneck search collapses to a
-    #: C-level ``min`` + first-index lookup. ``index(min)`` returns the
-    #: lowest dense index achieving the minimum — dense indices were
-    #: assigned in first-seen order, so this is exactly the object form's
-    #: ascending-scan tie-break (first port among equal shares).
+    #: link's inputs changes, so the bottleneck search collapses to a
+    #: C-level ``min`` + first-index lookup, which returns the lowest dense
+    #: index among equal shares — the first-seen tie-break.
     shares = [residual[j] / live[j] for j in range(len(residual))]
 
     while remaining:
@@ -297,28 +151,29 @@ def max_min_fair_rows_raw(
         best_j = shares.index(best_share)
 
         if rate_cap is not None and rate_cap < best_share:
+            # Every remaining flow can take the cap without saturating any
+            # link: freeze them all at the cap.
             for k in range(num_flows):
                 if not frozen[k]:
                     rate_of[k] = rate_cap
             break
 
+        # Freeze the flows on the bottleneck link at the fair share.
+        # Numerical guard, applied per update: residuals can dip a hair
+        # below zero; clamping after each subtraction yields the same final
+        # value as clamping once (a positive partial result is unclamped
+        # either way, and once one goes negative the link ends at 0.0).
         for k in members[best_j]:
             if frozen[k]:
                 continue
             frozen[k] = 1
             rate_of[k] = best_share
-            j = src_i[k]
-            nr = residual[j] - best_share
-            residual[j] = nr = nr if nr >= 0 else 0.0
-            lv = live[j] - 1
-            live[j] = lv
-            shares[j] = nr / lv if lv else inf
-            j = dst_i[k]
-            nr = residual[j] - best_share
-            residual[j] = nr = nr if nr >= 0 else 0.0
-            lv = live[j] - 1
-            live[j] = lv
-            shares[j] = nr / lv if lv else inf
+            for j in path_idx[k]:
+                nr = residual[j] - best_share
+                residual[j] = nr = nr if nr >= 0 else 0.0
+                lv = live[j] - 1
+                live[j] = lv
+                shares[j] = nr / lv if lv else inf
             remaining -= 1
 
     if commit:
@@ -338,8 +193,8 @@ def max_min_fair_rows(
     rate_cap: float | None = None,
     commit: bool = True,
 ) -> dict[int, float]:
-    """Row-path twin of :func:`max_min_fair`: ``flow_id → rate`` over the
-    unfinished rows (zero-rate entries included, as in the object form)."""
+    """:func:`max_min_fair_rows_raw` as ``flow_id → rate`` over the
+    unfinished rows (zero-rate entries included)."""
     active, rate_of = max_min_fair_rows_raw(
         rows, table, ledger, rate_cap=rate_cap, commit=commit
     )
@@ -347,70 +202,22 @@ def max_min_fair_rows(
     return dict(zip([fid[i] for i in active], rate_of))
 
 
-def madd_rates(
-    coflow: CoFlow,
-    ledger: PortLedger,
-    *,
-    flows: Iterable[Flow] | None = None,
-) -> dict[int, float]:
-    """MADD rates finishing all flows of ``coflow`` at its bottleneck time.
-
-    **Clairvoyant**: reads flow remaining volumes. Computes the coflow's
-    completion time Γ if each port dedicated its residual capacity, then
-    assigns each flow ``remaining / Γ``, scaling down if any port would be
-    oversubscribed. Returns ``{}`` when the coflow cannot make progress
-    (some needed port has zero residual).
-
-    Rates are committed to the ledger.
-    """
-    # Inlined Flow.remaining / Flow.finished: this runs for every active
-    # coflow on every scheduling round under Varys, so property dispatch
-    # overhead is material. ``remaining > 0`` never needs the max-with-zero
-    # clamp the property applies (the filter already excludes non-positive
-    # values), so the floats are unchanged.
-    todo = [f for f in (flows if flows is not None else coflow.flows)
-            if f.finish_time is None and f.volume - f.bytes_sent > 0]
-    if not todo:
-        return {}
-
-    port_bytes: dict[int, float] = {}
-    get = port_bytes.get
-    for f in todo:
-        remaining = f.volume - f.bytes_sent
-        port_bytes[f.src] = get(f.src, 0.0) + remaining
-        port_bytes[f.dst] = get(f.dst, 0.0) + remaining
-
-    gamma = 0.0
-    port_residual = ledger.residual
-    for port, volume in port_bytes.items():
-        residual = port_residual(port)
-        if residual <= 0:
-            return {}
-        share = volume / residual
-        if share > gamma:
-            gamma = share
-    if gamma <= 0:
-        return {}
-
-    rates = {f.flow_id: (f.volume - f.bytes_sent) / gamma for f in todo}
-    commit = ledger.commit
-    for f in todo:
-        commit(f.src, f.dst, rates[f.flow_id])
-    return rates
-
-
 def madd_rates_rows(
     rows: Sequence[int],
     table: "FlowTable",
     ledger: PortLedger,
 ) -> dict[int, float]:
-    """Row-path twin of :func:`madd_rates` (same Γ, same scaling).
+    """MADD rates finishing every row of a coflow at its bottleneck time.
 
-    ``rows`` are the coflow's schedulable rows; remaining volumes are read
-    straight off the table columns.
+    **Clairvoyant**: reads remaining volumes off the table. Computes the
+    coflow's completion time Γ — the maximum over every link its unfinished
+    flows cross of the link's remaining byte load divided by its residual
+    capacity — then assigns each flow ``remaining / Γ`` and commits it.
+    Returns ``{}`` when the coflow cannot make progress (some needed link
+    has no residual).
     """
     metrics = ledger._metrics
-    if table.fastcore and _core is not None and type(ledger) is PortLedger:
+    if _compiled(table, ledger):
         if metrics is not None:
             metrics.inc("kernel.madd_rows.fastcore")
         return _core.madd_rows(
@@ -425,13 +232,13 @@ def madd_rates_rows(
     bs = table.bytes_sent
     src_col = table.src
     dst_col = table.dst
-    # Liveness filter and per-port byte aggregation fused into one pass
-    # (same walk order, same accumulation order; ``remaining`` is computed
-    # once and reused for the rate assignment below).
+    path = ledger.path
+    # Liveness filter and per-link byte aggregation fused into one pass
+    # (``remaining`` is computed once and reused for the rates below).
     todo: list[int] = []
     left: list[float] = []
-    port_bytes: dict[int, float] = {}
-    get = port_bytes.get
+    link_bytes: dict[int, float] = {}
+    get = link_bytes.get
     for i in rows:
         if ft[i] is not None:
             continue
@@ -440,18 +247,16 @@ def madd_rates_rows(
             continue
         todo.append(i)
         left.append(remaining)
-        src = src_col[i]
-        dst = dst_col[i]
-        port_bytes[src] = get(src, 0.0) + remaining
-        port_bytes[dst] = get(dst, 0.0) + remaining
+        for link in path(src_col[i], dst_col[i]):
+            link_bytes[link] = get(link, 0.0) + remaining
     if not todo:
         return {}
 
     lcap = ledger.capacity_list
     lused = ledger.used_list
     gamma = 0.0
-    for port, volume in port_bytes.items():
-        residual = lcap[port] - lused[port]  # == ledger.residual(port)
+    for link, volume in link_bytes.items():
+        residual = lcap[link] - lused[link]  # == ledger.residual(link)
         if residual <= 0:
             return {}
         share = volume / residual
@@ -460,87 +265,13 @@ def madd_rates_rows(
     if gamma <= 0:
         return {}
 
-    # Rate build and ledger commit fused into one pass; the commit
-    # arithmetic (tolerance check, at-capacity clamp, touched-port
-    # bookkeeping) is PortLedger.commit's, inlined.
     fid = table.flow_id
-    touched = ledger.touched_set
+    commit = ledger.commit
     rates: dict[int, float] = {}
     for i, remaining in zip(todo, left):
         rate = remaining / gamma
         rates[fid[i]] = rate
-        src = src_col[i]
-        dst = dst_col[i]
-        touched.add(src)
-        touched.add(dst)
-        cap = lcap[src]
-        new_used = lused[src] + rate
-        if new_used > cap * _CAPACITY_TOLERANCE:
-            raise CapacityViolationError(str(src), new_used, cap)
-        lused[src] = new_used if new_used < cap else cap
-        cap = lcap[dst]
-        new_used = lused[dst] + rate
-        if new_used > cap * _CAPACITY_TOLERANCE:
-            raise CapacityViolationError(str(dst), new_used, cap)
-        lused[dst] = new_used if new_used < cap else cap
-    return rates
-
-
-def equal_rate_for_coflow(
-    coflow: CoFlow,
-    ledger: PortLedger,
-    *,
-    flows: Sequence[Flow] | None = None,
-    port_counts: dict[int, int] | None = None,
-) -> dict[int, float]:
-    """Saath's D2 rule: one equal rate for every flow of the coflow.
-
-    Non-clairvoyant. At each port the coflow's flows share the residual
-    capacity fairly, so flow ``f``'s cap is
-    ``min(residual(src)/n_src, residual(dst)/n_dst)`` where ``n_src`` is the
-    number of the coflow's schedulable flows on that sender (resp.
-    receiver). The coflow rate is the minimum cap over its flows — "the rate
-    of the slowest flow is assigned to all the flows" (§4.2 D2) — and is
-    committed to the ledger.
-
-    ``port_counts`` optionally supplies the per-port flow counts over
-    exactly ``flows`` (the cluster state's flow-group compaction cache, see
-    :meth:`~repro.simulator.state.ClusterState.port_counts`), collapsing the
-    counting and min-cap passes to O(ports touched) instead of O(flows).
-    Every port's cap is the same division either way, and the minimum over
-    the same multiset of caps is the same float, so the two paths are
-    bit-identical.
-
-    Returns ``{}`` if the equal rate would be zero.
-    """
-    todo = [f for f in (flows if flows is not None else coflow.flows)
-            if f.finish_time is None]
-    if not todo:
-        return {}
-
-    residual = ledger.residual
-    rate = math.inf
-    if port_counts is not None:
-        for port, count in port_counts.items():
-            cap = residual(port) / count
-            if cap < rate:
-                rate = cap
-    else:
-        count_at_port: dict[int, int] = defaultdict(int)
-        for f in todo:
-            count_at_port[f.src] += 1
-            count_at_port[f.dst] += 1
-        for f in todo:
-            cap_src = residual(f.src) / count_at_port[f.src]
-            cap_dst = residual(f.dst) / count_at_port[f.dst]
-            rate = min(rate, cap_src, cap_dst)
-    if not math.isfinite(rate) or rate <= 0:
-        return {}
-
-    rates = {f.flow_id: rate for f in todo}
-    commit = ledger.commit
-    for f in todo:
-        commit(f.src, f.dst, rate)
+        commit(src_col[i], dst_col[i], rate)
     return rates
 
 
@@ -551,12 +282,21 @@ def equal_rate_for_coflow_rows(
     *,
     port_counts: dict[int, int] | None = None,
 ) -> dict[int, float]:
-    """Row-path twin of :func:`equal_rate_for_coflow` (same caps, same min).
+    """Saath's D2 rule: one equal rate for every unfinished row.
 
-    ``rows`` are the coflow's schedulable rows; ``port_counts`` is the
-    cluster state's compaction cache exactly as in the object form. Its
-    compiled twin runs inside the ``saath_round`` kernel (see
-    :func:`saath_round_rows`), so this form is the Python path.
+    Non-clairvoyant. At each link the coflow's flows share the residual
+    capacity fairly, so a flow's cap is the minimum over its path of
+    ``residual(link) / n_link`` (``n_link`` = the rows crossing the link).
+    The coflow rate is the minimum cap over its flows — "the rate of the
+    slowest flow is assigned to all the flows" (§4.2 D2) — and is
+    committed to the ledger. Returns ``{}`` if that rate would be zero.
+
+    ``port_counts`` optionally supplies the per-link counts over exactly
+    ``rows`` (on a big switch the cluster state's per-port pending counts,
+    see :meth:`~repro.simulator.state.ClusterState.port_counts`),
+    collapsing the counting and min-cap passes to O(links): the minimum
+    over the same multiset of caps is the same float. Its compiled twin
+    runs inside the ``saath_round`` kernel (see :func:`saath_round_rows`).
     """
     metrics = ledger._metrics
     if metrics is not None:
@@ -572,307 +312,34 @@ def equal_rate_for_coflow_rows(
     lused = ledger.used_list
     rate = math.inf
     if port_counts is not None:
-        for port, count in port_counts.items():
-            r = lcap[port] - lused[port]  # == ledger.residual(port)
+        for link, count in port_counts.items():
+            r = lcap[link] - lused[link]  # == ledger.residual(link)
             cap = (r if r >= 0.0 else 0.0) / count
             if cap < rate:
                 rate = cap
     else:
-        residual = ledger.residual
-        count_at_port: dict[int, int] = defaultdict(int)
-        for i in todo:
-            count_at_port[src_col[i]] += 1
-            count_at_port[dst_col[i]] += 1
-        for i in todo:
-            cap_src = residual(src_col[i]) / count_at_port[src_col[i]]
-            cap_dst = residual(dst_col[i]) / count_at_port[dst_col[i]]
-            rate = min(rate, cap_src, cap_dst)
-    if not math.isfinite(rate) or rate <= 0:
-        return {}
-
-    # Rate map and ledger commit fused (PortLedger.commit inlined: same
-    # tolerance check, clamp and touched-port bookkeeping).
-    fid = table.flow_id
-    touched = ledger.touched_set
-    rates: dict[int, float] = {}
-    for i in todo:
-        rates[fid[i]] = rate
-        src = src_col[i]
-        dst = dst_col[i]
-        touched.add(src)
-        touched.add(dst)
-        cap = lcap[src]
-        new_used = lused[src] + rate
-        if new_used > cap * _CAPACITY_TOLERANCE:
-            raise CapacityViolationError(str(src), new_used, cap)
-        lused[src] = new_used if new_used < cap else cap
-        cap = lcap[dst]
-        new_used = lused[dst] + rate
-        if new_used > cap * _CAPACITY_TOLERANCE:
-            raise CapacityViolationError(str(dst), new_used, cap)
-        lused[dst] = new_used if new_used < cap else cap
-    return rates
-
-
-def max_min_fair_paths(
-    flows: Sequence[Flow],
-    paths: "PathMap",
-    ledger: PortLedger,
-    *,
-    rate_cap: float | None = None,
-    commit: bool = True,
-) -> dict[int, float]:
-    """Path-aware twin of :func:`max_min_fair`: progressive filling over
-    *every link* of each flow's path.
-
-    Each flow constrains — and is constrained by — its sender port, its
-    receiver port and the core links ``paths`` assigns to the pair, so the
-    fair share saturates at the true bottleneck (an oversubscribed spine
-    uplink, say) instead of only at host ports. The filling loop is the
-    object form's with "port" generalised to "link": links are indexed in
-    first-seen order (per flow: sender, receiver, then core links) and the
-    tie-break is the first link in that order among equal shares. On a
-    big-switch topology every path is ``(src, dst)`` and this function is
-    **bit-identical** to :func:`max_min_fair` (asserted by the fuzz suite).
-
-    ``commit=True`` commits through ``ledger.commit`` — on a
-    :class:`~repro.simulator.topology.LinkLedger` that charges the whole
-    path, consistent with the rates just computed.
-    """
-    active_map: dict[int, Flow] = {
-        f.flow_id: f for f in flows if f.finish_time is None
-    }
-    if not active_map:
-        return {}
-    active = list(active_map.values())
-    fids = list(active_map)
-    if rate_cap is not None and rate_cap <= 0:
-        return dict.fromkeys(fids, 0.0)
-
-    extra_links = paths.extra_links
-    # Dense link indexing in first-seen order (per flow: src, dst, extras).
-    link_index: dict[int, int] = {}
-    residual: list[float] = []
-    live: list[int] = []
-    #: dense link -> flow positions crossing it, in flow order.
-    members: list[list[int]] = []
-    num_flows = len(active)
-    #: flow position -> dense indices of every link on its path.
-    path_idx: list[tuple[int, ...]] = [()] * num_flows
-    ledger_residual = ledger.residual
-    for i, f in enumerate(active):
-        idx = []
-        for link in (f.src, f.dst, *extra_links(f.src, f.dst)):
-            j = link_index.get(link)
-            if j is None:
-                j = link_index[link] = len(residual)
-                residual.append(ledger_residual(link))
-                live.append(1)
-                members.append([i])
-            else:
-                live[j] += 1
-                members[j].append(i)
-            idx.append(j)
-        path_idx[i] = tuple(idx)
-
-    frozen = bytearray(num_flows)
-    rate_of: list[float] = [0.0] * num_flows
-    num_links = len(residual)
-    remaining = num_flows
-
-    while remaining:
-        # Tightest link among those with unfrozen flows (ascending dense
-        # index == first-seen order, the object form's tie-break).
-        best_j = -1
-        best_share = math.inf
-        for j in range(num_links):
-            count = live[j]
-            if count == 0:
-                continue
-            share = residual[j] / count
-            if share < best_share:
-                best_share = share
-                best_j = j
-        if best_j < 0:
-            break
-
-        if rate_cap is not None and rate_cap < best_share:
-            for i in range(num_flows):
-                if not frozen[i]:
-                    rate_of[i] = rate_cap
-            break
-
-        # Freeze the flows on the bottleneck link at the fair share,
-        # subtracting it from every link of each frozen flow's path (same
-        # per-update negative clamp as the object form).
-        for i in members[best_j]:
-            if frozen[i]:
-                continue
-            frozen[i] = 1
-            rate_of[i] = best_share
-            for j in path_idx[i]:
-                nr = residual[j] - best_share
-                residual[j] = nr if nr >= 0 else 0.0
-                live[j] -= 1
-            remaining -= 1
-
-    rates = dict(zip(fids, rate_of))
-    if commit:
-        ledger_commit = ledger.commit
-        for f, rate in zip(active, rate_of):
-            if rate > 0:
-                ledger_commit(f.src, f.dst, rate)
-    return rates
-
-
-def madd_rates_paths(
-    coflow: CoFlow,
-    ledger: PortLedger,
-    paths: "PathMap",
-    *,
-    flows: Iterable[Flow] | None = None,
-) -> dict[int, float]:
-    """Path-aware twin of :func:`madd_rates`: Γ over every path link.
-
-    The coflow's bottleneck completion time Γ is the maximum over all
-    *links* (host ports plus assigned core links) of the link's remaining
-    byte load divided by its residual capacity, so an oversubscribed core
-    link correctly stretches the whole coflow. Returns ``{}`` when any
-    needed link has no residual. Bit-identical to :func:`madd_rates` when
-    no path crosses a core link.
-    """
-    todo = [f for f in (flows if flows is not None else coflow.flows)
-            if f.finish_time is None and f.volume - f.bytes_sent > 0]
-    if not todo:
-        return {}
-
-    extra_links = paths.extra_links
-    link_bytes: dict[int, float] = {}
-    get = link_bytes.get
-    for f in todo:
-        remaining = f.volume - f.bytes_sent
-        link_bytes[f.src] = get(f.src, 0.0) + remaining
-        link_bytes[f.dst] = get(f.dst, 0.0) + remaining
-        for link in extra_links(f.src, f.dst):
-            link_bytes[link] = get(link, 0.0) + remaining
-
-    gamma = 0.0
-    link_residual = ledger.residual
-    for link, volume in link_bytes.items():
-        residual = link_residual(link)
-        if residual <= 0:
-            return {}
-        share = volume / residual
-        if share > gamma:
-            gamma = share
-    if gamma <= 0:
-        return {}
-
-    rates = {f.flow_id: (f.volume - f.bytes_sent) / gamma for f in todo}
-    commit = ledger.commit
-    for f in todo:
-        commit(f.src, f.dst, rates[f.flow_id])
-    return rates
-
-
-def equal_rate_for_coflow_paths(
-    coflow: CoFlow,
-    ledger: PortLedger,
-    paths: "PathMap",
-    *,
-    flows: Sequence[Flow] | None = None,
-    link_counts: dict[int, int] | None = None,
-) -> dict[int, float]:
-    """Path-aware twin of :func:`equal_rate_for_coflow` (Saath's D2 rule).
-
-    Flow ``f``'s cap becomes the minimum over *every link on its path* of
-    ``residual(link) / n_link`` (``n_link`` = the coflow's schedulable
-    flows crossing the link), and the coflow rate is the minimum cap over
-    its flows. ``link_counts`` optionally supplies the per-link counts
-    over exactly ``flows`` (see
-    :meth:`~repro.simulator.state.ClusterState.link_counts`) — the minimum
-    over the same multiset of caps, so the two branches agree bitwise.
-    Commits go through ``ledger.commit`` (path-charging on a
-    :class:`~repro.simulator.topology.LinkLedger`). Bit-identical to the
-    port-only form when no path crosses a core link.
-    """
-    todo = [f for f in (flows if flows is not None else coflow.flows)
-            if f.finish_time is None]
-    if not todo:
-        return {}
-
-    extra_links = paths.extra_links
-    residual = ledger.residual
-    rate = math.inf
-    if link_counts is not None:
-        for link, count in link_counts.items():
-            cap = residual(link) / count
-            if cap < rate:
-                rate = cap
-    else:
-        count_at_link: dict[int, int] = defaultdict(int)
-        for f in todo:
-            count_at_link[f.src] += 1
-            count_at_link[f.dst] += 1
-            for link in extra_links(f.src, f.dst):
-                count_at_link[link] += 1
-        for f in todo:
-            cap = residual(f.src) / count_at_link[f.src]
-            if cap < rate:
-                rate = cap
-            cap = residual(f.dst) / count_at_link[f.dst]
-            if cap < rate:
-                rate = cap
-            for link in extra_links(f.src, f.dst):
-                cap = residual(link) / count_at_link[link]
+        path = ledger.path
+        paths = [path(src_col[i], dst_col[i]) for i in todo]
+        count_at: dict[int, int] = {}
+        get = count_at.get
+        for links in paths:
+            for link in links:
+                count_at[link] = get(link, 0) + 1
+        for links in paths:
+            for link in links:
+                r = lcap[link] - lused[link]
+                cap = (r if r >= 0.0 else 0.0) / count_at[link]
                 if cap < rate:
                     rate = cap
     if not math.isfinite(rate) or rate <= 0:
         return {}
 
-    rates = {f.flow_id: rate for f in todo}
+    fid = table.flow_id
     commit = ledger.commit
-    for f in todo:
-        commit(f.src, f.dst, rate)
-    return rates
-
-
-def greedy_residual_rates(
-    flows: Sequence[Flow],
-    ledger: PortLedger,
-) -> dict[int, float]:
-    """Work-conservation fill (Fig. 7 lines 18–23).
-
-    Walk ``flows`` in order, giving each flow
-    ``min(sender residual, receiver residual)`` and committing it. Later
-    flows see capacity already consumed by earlier ones, so the input order
-    is the scheduling priority order.
-
-    Ports observed exhausted are remembered for the rest of the walk:
-    residuals only decrease within one fill pass, so skipping a flow on a
-    dead port is exactly the zero-rate no-op the fill would have returned,
-    and the pass stops probing the ledger once the fabric saturates (most
-    of the walk, on a loaded cluster).
-    """
     rates: dict[int, float] = {}
-    fill = ledger.fill
-    residual = ledger.residual
-    dead: set[int] = set()
-    for f in flows:
-        if f.finish_time is not None:
-            continue
-        src = f.src
-        dst = f.dst
-        if src in dead or dst in dead:
-            continue
-        rate = fill(src, dst)
-        if rate > 0:
-            rates[f.flow_id] = rate
-        else:
-            if residual(src) <= 0:
-                dead.add(src)
-            if residual(dst) <= 0:
-                dead.add(dst)
+    for i in todo:
+        rates[fid[i]] = rate
+        commit(src_col[i], dst_col[i], rate)
     return rates
 
 
@@ -881,9 +348,22 @@ def greedy_residual_rates_rows(
     table: "FlowTable",
     ledger: PortLedger,
 ) -> dict[int, float]:
-    """Row-path twin of :func:`greedy_residual_rates` (same walk order)."""
+    """Work-conservation fill (Fig. 7 lines 18–23).
+
+    Walk ``rows`` in order, giving each unfinished flow the smallest
+    residual along its path and committing it. Later flows see capacity
+    already consumed by earlier ones, so the input order is the scheduling
+    priority order.
+
+    Sender and receiver ports observed exhausted are remembered for the
+    rest of the walk: residuals only decrease within one fill pass, so
+    skipping a flow on a dead port is exactly the zero-rate no-op the fill
+    would have returned, and the pass stops probing the ledger once the
+    fabric saturates. The memo is checked before the path is looked up, so
+    a skipped flow assigns no path.
+    """
     metrics = ledger._metrics
-    if table.fastcore and _core is not None and type(ledger) is PortLedger:
+    if _compiled(table, ledger):
         if metrics is not None:
             metrics.inc("kernel.greedy_rows.fastcore")
         return _core.greedy_rows(
@@ -898,10 +378,10 @@ def greedy_residual_rates_rows(
     fid = table.flow_id
     src_col = table.src
     dst_col = table.dst
-    # Fused PortLedger.fill: identical grant arithmetic and touched-port
-    # bookkeeping over the ledger's dense lists, without a method call per
-    # flow. ``residual(p) <= 0`` is ``capacity - used <= 0`` (the max-with-
-    # zero clamp never changes the sign).
+    path = ledger.path
+    # The grant needs no tolerance check (it never exceeds a residual) and
+    # no at-capacity clamp; ``residual(p) <= 0`` is ``capacity - used <= 0``
+    # (the max-with-zero clamp never changes the sign).
     lcap = ledger.capacity_list
     lused = ledger.used_list
     touched = ledger.touched_set
@@ -912,15 +392,16 @@ def greedy_residual_rates_rows(
         dst = dst_col[i]
         if src in dead or dst in dead:
             continue
-        rate = lcap[src] - lused[src]
-        rate_dst = lcap[dst] - lused[dst]
-        if rate_dst < rate:
-            rate = rate_dst
+        links = path(src, dst)
+        rate = math.inf
+        for link in links:
+            r = lcap[link] - lused[link]
+            if r < rate:
+                rate = r
         if rate > 0:
-            lused[src] += rate
-            lused[dst] += rate
-            touched.add(src)
-            touched.add(dst)
+            for link in links:
+                lused[link] += rate
+            touched.update(links)
             rates[fid[i]] = rate
         else:
             if lcap[src] - lused[src] <= 0:
@@ -933,28 +414,25 @@ def greedy_residual_rates_rows(
 def _admissible_rows(rows: Sequence[int], table: "FlowTable",
                      ledger: PortLedger, port_counts: dict[int, int] | None,
                      min_rate: float) -> bool:
-    """All-or-none admission over rows: every port the rows touch has
-    ``residual(p) >= min_rate``. ``port_counts`` supplies the port set when
-    it exactly covers ``rows``; the conjunction ranges over the same ports
-    either way. ``residual(p) >= min_rate`` is evaluated as
-    ``capacity - used >= min_rate`` over the ledger's dense lists —
-    ``min_rate`` is validated positive, so the max-with-zero clamp inside
-    ``residual`` cannot change the comparison."""
+    """All-or-none admission over rows: every link on the rows' paths has
+    ``residual >= min_rate``. ``port_counts`` supplies the link set when it
+    exactly covers ``rows``; otherwise every row's path is looked up
+    before any link is tested. ``residual >= min_rate`` is evaluated as
+    ``capacity - used >= min_rate`` — ``min_rate`` is validated positive,
+    so the max-with-zero clamp inside ``residual`` cannot change it."""
     lcap = ledger.capacity_list
     lused = ledger.used_list
-    if port_counts is not None:
-        for p in port_counts:
-            if lcap[p] - lused[p] < min_rate:
-                return False
-        return True
-    src_col = table.src
-    dst_col = table.dst
-    ports: set[int] = set()
-    for i in rows:
-        ports.add(src_col[i])
-        ports.add(dst_col[i])
-    for p in ports:
-        if lcap[p] - lused[p] < min_rate:
+    if port_counts is None:
+        src_col = table.src
+        dst_col = table.dst
+        path = ledger.path
+        links: set[int] = set()
+        for i in rows:
+            links.update(path(src_col[i], dst_col[i]))
+    else:
+        links = port_counts
+    for link in links:
+        if lcap[link] - lused[link] < min_rate:
             return False
     return True
 
@@ -970,7 +448,7 @@ def saath_round_rows(
     min_rate: float,
     work_conservation: bool,
 ) -> None:
-    """Saath's admission round on a big switch (Fig. 7 lines 16–23).
+    """Saath's admission round (Fig. 7 lines 16–23).
 
     ``groups[k]`` holds the schedulable rows of coflow ``coflow_ids[k]``, in
     scheduling order, and ``group_counts[k]`` its per-port pending counts
@@ -981,14 +459,17 @@ def saath_round_rows(
     are not admitted, or whose equal rate is zero, are then filled in
     order by one :func:`greedy_residual_rates_rows` walk. Rates, the
     admitted ids and the work-conserved ids are written into
-    ``allocation``, in the object path's insertion order.
+    ``allocation``.
 
-    With the compiled core the whole round is one ``saath_round`` call,
-    which runs the same equal-rate and greedy kernels and bumps their
-    ``kernel.*.fastcore`` counters by the calls it made.
+    Port counts only describe the big switch's two-link paths; on any
+    other ledger they are ignored and the link counts are taken from the
+    rows' paths. With the compiled core the whole round is one
+    ``saath_round`` call, which runs the same equal-rate and greedy
+    kernels and bumps their ``kernel.*.fastcore`` counters by the calls it
+    made.
     """
     metrics = ledger._metrics
-    if table.fastcore and _core is not None and type(ledger) is PortLedger:
+    if _compiled(table, ledger):
         equal_calls, greedy_calls = _core.saath_round(
             coflow_ids, groups, group_counts, table.finish_time, table.src,
             table.dst, table.flow_id, table.coflow_id, ledger.capacity_list,
@@ -1002,6 +483,8 @@ def saath_round_rows(
             if greedy_calls:
                 metrics.inc("kernel.greedy_rows.fastcore", greedy_calls)
         return
+    if type(ledger) is not PortLedger:
+        group_counts = [None] * len(groups)
     missed_rows: list[list[int]] = []
     for cid, rows, counts in zip(coflow_ids, groups, group_counts):
         if not rows:

@@ -24,19 +24,22 @@ Incremental scheduling support lives here too:
   unfinished flows instead of every flow ever submitted;
 * a reusable :class:`~repro.simulator.fabric.PortLedger` cleared in
   O(changed ports) per round via :meth:`ClusterState.acquire_ledger`;
-* per-coflow *flow-group compaction*: ``(src, dst)``-bucketed pending-row
-  groups and per-port pending-flow counts maintained incrementally from the
-  engine's completion notifications, so rate allocators and admission checks
-  work in O(groups)/O(ports) instead of recounting every flow each round
-  (:meth:`ClusterState.port_counts`, :meth:`ClusterState.flow_groups`).
+* per-coflow per-port pending-flow counts maintained incrementally from the
+  engine's completion notifications, so big-switch admission checks and
+  the contention index work in O(ports) instead of recounting every flow
+  each round (:meth:`ClusterState.port_counts`).
+
+Every coflow in ``active_coflows`` is registered in the table — the engine
+notifies each activation, and a hand-built state registers the coflows it
+is constructed with — so schedulers see flows only as table rows.
 
 Multi-tier topologies (see :mod:`repro.simulator.topology`) plug in here:
-a :class:`ClusterState` built with a topology that has core links runs in
-*path-aware* mode — :meth:`ClusterState.make_ledger` returns a
-:class:`~repro.simulator.topology.LinkLedger`, and
-:meth:`ClusterState.link_counts` projects the flow-group compaction onto
-whole link paths for admission and equal-rate assignment. The big-switch
-default (``topology=None``) is untouched by construction.
+a :class:`ClusterState` built with a topology that has core links gets a
+:class:`~repro.simulator.topology.PathMap`, and
+:meth:`ClusterState.make_ledger` returns a
+:class:`~repro.simulator.topology.LinkLedger` whose paths include the core
+links. The big-switch default (``topology=None``) is untouched by
+construction.
 """
 
 from __future__ import annotations
@@ -263,8 +266,8 @@ class ClusterState:
     table: FlowTable = field(default_factory=FlowTable)
     #: Fabric topology (``None`` = the classic big switch). A topology
     #: with core links switches the state into *path-aware* mode: ledgers
-    #: become :class:`~repro.simulator.topology.LinkLedger`\ s and the
-    #: schedulers route contention/admission through link paths.
+    #: become :class:`~repro.simulator.topology.LinkLedger`\ s, whose
+    #: paths the allocators charge.
     topology: Topology | None = None
     #: Per-run path assignment (built automatically from ``topology`` when
     #: it has core links; ``None`` on the big-switch default).
@@ -286,47 +289,32 @@ class ClusterState:
     _pending_rows: dict[int, list[int]] = field(
         default_factory=dict, repr=False
     )
-    #: Lazy object-path pending cache for hand-assembled states that bypass
-    #: ``note_activated`` (may go stale; callers re-filter on finish_time).
-    _pending: dict[int, list[Flow]] = field(default_factory=dict, repr=False)
     _cached_ledger: PortLedger | None = field(default=None, repr=False)
     _cached_override: dict[int, float] | None = field(default=None, repr=False)
     #: coflow_id -> {port: number of pending flows touching it} (compaction).
     _port_counts: dict[int, dict[int, int]] = field(
         default_factory=dict, repr=False
     )
-    #: coflow_id -> {(src, dst): [pending rows]} (compaction, row path).
-    _group_rows: dict[int, dict[tuple[int, int], list[int]]] = field(
-        default_factory=dict, repr=False
-    )
-    #: coflow_id -> {(src, dst): [pending flows]} (hand-built fallback).
-    _groups: dict[int, dict[tuple[int, int], list[Flow]]] = field(
-        default_factory=dict, repr=False
-    )
     #: coflow_id -> max ``available_time`` over its flows (static bound used
     #: to decide when the compaction caches equal the schedulable set).
     _max_avail: dict[int, float] = field(default_factory=dict, repr=False)
-    #: coflow_id -> {link: pending flows crossing it} (path-aware twin of
-    #: ``_port_counts``: includes the core links of each flow's path).
-    _link_counts: dict[int, dict[int, int]] = field(
-        default_factory=dict, repr=False
-    )
 
     def __post_init__(self) -> None:
         if (self.paths is None and self.topology is not None
                 and self.topology.num_core_links):
             self.paths = PathMap(self.topology)
+        # Hand-built states register the coflows they start with, exactly
+        # as the engine registers each activation.
+        for coflow in self.active_coflows:
+            self.note_activated(coflow)
 
     # ---- topology ---------------------------------------------------------
 
     @property
     def path_aware(self) -> bool:
-        """True when the topology has core links, i.e. flow paths matter.
-
-        Schedulers must then route admission and rate assignment through
-        the path-aware allocator twins; on the big-switch default this is
-        False and every classic code path runs unchanged.
-        """
+        """True when the topology has core links, i.e. flow paths matter
+        (ledgers are then :class:`~repro.simulator.topology.LinkLedger`;
+        on the big-switch default this is False)."""
         return self.paths is not None
 
     # ---- ledgers ----------------------------------------------------------
@@ -375,24 +363,12 @@ class ClusterState:
 
     # ---- flow queries -----------------------------------------------------
 
-    def rows_tracked(self) -> bool:
-        """True when every active coflow has an exact pending-row cache —
-        i.e. the whole round can run on table rows. Engine-driven states
-        always qualify; hand-assembled states that bypass
-        ``note_activated`` make schedulers fall back to the object path.
-        """
-        pending = self._pending_rows
-        for c in self.active_coflows:
-            if c.coflow_id not in pending:
-                return False
-        return True
-
     @property
     def row_map(self) -> dict[int, list[int]]:
-        """Live ``coflow_id →`` all table rows of each engine-notified
-        coflow attached to ``table`` (one row per flow, in ``flows``
-        order, so a coflow's width is the length of its rows; read-only by
-        convention, empty for hand-built states)."""
+        """Live ``coflow_id →`` all table rows of each registered coflow
+        attached to ``table`` (one row per flow, in ``flows`` order, so a
+        coflow's width is the length of its rows; read-only by
+        convention)."""
         return self._coflow_rows
 
     @property
@@ -402,25 +378,26 @@ class ClusterState:
         return self._pending_rows
 
     def pending_rows(self, coflow: CoFlow) -> list[int] | None:
-        """Table rows of the coflow's pending flows, or ``None`` when the
-        coflow is not table-tracked (hand-assembled state).
+        """Table rows of the coflow's pending flows (``None`` for a coflow
+        that is not registered).
 
         The returned list is the live cache — callers must not mutate it.
         """
         return self._pending_rows.get(coflow.coflow_id)
 
-    def schedulable_rows(self, coflow: CoFlow, now: float) -> list[int] | None:
-        """Row-path twin of :meth:`schedulable_flows` (same filter, same
-        order); ``None`` when the coflow is not table-tracked.
+    def schedulable_rows(self, coflow: CoFlow, now: float) -> list[int]:
+        """Table rows of the coflow's unfinished flows whose data is
+        available at ``now``, in ``flows`` order.
 
+        Models §4.3 "un-availability of the data": the coordinator only
+        schedules flows that have accumulated data to send (local agents
+        piggyback availability onto their periodic flow statistics).
         Availability-clean coflows get the *live* pending-row cache —
         callers must treat the result as read-only and use it within the
         current scheduling round (the cache shrinks on the next completion).
         """
         cid = coflow.coflow_id
-        rows = self._pending_rows.get(cid)
-        if rows is None:
-            return None
+        rows = self._pending_rows[cid]
         # Inlined max_available_time (this runs once per coflow per round
         # across every scheduler): most workloads have no pipelined data,
         # so the static bound resolves the gate without a per-row pass.
@@ -434,30 +411,9 @@ class ClusterState:
         return [i for i in rows if avail[i] <= now]
 
     def schedulable_flows(self, coflow: CoFlow, now: float) -> list[Flow]:
-        """Unfinished flows of ``coflow`` whose data is available at ``now``.
-
-        Models §4.3 "un-availability of the data": the coordinator only
-        schedules flows that have accumulated data to send (local agents
-        piggyback availability onto their periodic flow statistics).
-        """
-        rows = self._pending_rows.get(coflow.coflow_id)
-        if rows is not None:
-            view = self.table.view
-            if (not self.respect_availability
-                    or self.max_available_time(coflow) <= now):
-                # Availability-clean: every pending flow has data; the row
-                # cache holds no finished flows, so it maps straight through.
-                return [view[i] for i in rows]
-            avail = self.table.available_time
-            return [view[i] for i in rows if avail[i] <= now]
-        pending = self.pending_flows(coflow)
-        if (not self.respect_availability
-                or self.max_available_time(coflow) <= now):
-            return [f for f in pending if f.finish_time is None]
-        return [
-            f for f in pending
-            if f.finish_time is None and f.available_time <= now
-        ]
+        """The :class:`Flow` views of :meth:`schedulable_rows`."""
+        view = self.table.view
+        return [view[i] for i in self.schedulable_rows(coflow, now)]
 
     def max_available_time(self, coflow: CoFlow) -> float:
         """Latest ``available_time`` across the coflow's flows (static).
@@ -475,8 +431,8 @@ class ClusterState:
         """Per-port pending-flow counts, when exact for the schedulable set.
 
         Returns ``{port: count}`` over the coflow's pending flows — the
-        counts :func:`~repro.simulator.ratealloc.equal_rate_for_coflow` and
-        all-or-none admission would otherwise rebuild per round — or
+        counts big-switch D2 rate assignment and all-or-none admission
+        would otherwise rebuild per round — or
         ``None`` when some pending flow is still unavailable at ``now`` (the
         schedulable set is then a strict subset and callers must recount).
         """
@@ -492,9 +448,8 @@ class ClusterState:
         Returns parallel lists ``(coflow ids, rows, port counts)`` over the
         coflows, in order, that have a schedulable row at ``now``; coflows
         with none are left out. With ``counts=False`` the port counts are
-        not gathered and ``None`` stands in for their list. Every coflow
-        must be table-tracked (:meth:`rows_tracked`). Rows may be live
-        caches, as with :meth:`schedulable_rows`.
+        not gathered and ``None`` stands in for their list. Rows may be
+        live caches, as with :meth:`schedulable_rows`.
         """
         pending = self._pending_rows
         max_avail = self._max_avail
@@ -532,142 +487,28 @@ class ClusterState:
     def pending_port_counts(self, coflow: CoFlow) -> dict[int, int]:
         """Per-port pending-flow counts, regardless of availability.
 
-        Projection of the flow-group compaction onto ports. Availability
-        never moves a flow's ports, so consumers that only need the
-        *footprint* of the unfinished flows (contention indexing) can use
-        this without the availability gate that :meth:`port_counts` applies.
+        Built from the pending rows on first use, then maintained by the
+        completion notifications. Availability never moves a flow's ports,
+        so consumers that only need the *footprint* of the unfinished flows
+        (contention indexing) can use this without the availability gate
+        that :meth:`port_counts` applies.
         """
         counts = self._port_counts.get(coflow.coflow_id)
         if counts is None:
             counts = {}
             get = counts.get
-            buckets = self._buckets(coflow)
-            if buckets is not None:
-                for (src, dst), rows in buckets.items():
-                    n = len(rows)
-                    counts[src] = get(src, 0) + n
-                    counts[dst] = get(dst, 0) + n
-            else:
-                for (src, dst), bucket in self.flow_groups(coflow).items():
-                    n = len(bucket)
-                    counts[src] = get(src, 0) + n
-                    counts[dst] = get(dst, 0) + n
+            t = self.table
+            src, dst = t.src, t.dst
+            for i in self._pending_rows[coflow.coflow_id]:
+                counts[src[i]] = get(src[i], 0) + 1
+                counts[dst[i]] = get(dst[i], 0) + 1
             self._port_counts[coflow.coflow_id] = counts
         return counts
 
-    def link_counts(self, coflow: CoFlow, now: float,
-                    flows: "list[Flow] | None" = None) -> dict[int, int]:
-        """Per-*link* schedulable-flow counts (path-aware compaction).
-
-        The path-aware twin of :meth:`port_counts`: each schedulable flow
-        contributes to its sender port, its receiver port and every core
-        link on its assigned path. Unlike :meth:`port_counts` this never
-        returns ``None`` — when some pending flow is availability-gated at
-        ``now`` the counts are computed over the exact schedulable subset
-        (uncached; pass ``flows`` to reuse an already-gathered
-        ``schedulable_flows(coflow, now)`` list instead of re-deriving
-        it); availability-clean coflows use a per-coflow cache maintained
-        incrementally from completion notifications. Only valid in
-        path-aware mode (``paths`` must be set).
-        """
-        paths = self.paths
-        extra_links = paths.extra_links
-        if self.respect_availability and self.max_available_time(coflow) > now:
-            counts: dict[int, int] = {}
-            get = counts.get
-            if flows is None:
-                flows = self.schedulable_flows(coflow, now)
-            for f in flows:
-                src, dst = f.src, f.dst
-                counts[src] = get(src, 0) + 1
-                counts[dst] = get(dst, 0) + 1
-                for link in extra_links(src, dst):
-                    counts[link] = get(link, 0) + 1
-            return counts
-        cached = self._link_counts.get(coflow.coflow_id)
-        if cached is None:
-            cached = {}
-            get = cached.get
-            buckets = self._buckets(coflow)
-            if buckets is not None:
-                groups = {key: len(rows) for key, rows in buckets.items()}
-            else:
-                groups = {
-                    key: len(bucket)
-                    for key, bucket in self.flow_groups(coflow).items()
-                }
-            for (src, dst), n in groups.items():
-                cached[src] = get(src, 0) + n
-                cached[dst] = get(dst, 0) + n
-                for link in extra_links(src, dst):
-                    cached[link] = get(link, 0) + n
-            self._link_counts[coflow.coflow_id] = cached
-        return cached
-
-    def _buckets(
-        self, coflow: CoFlow
-    ) -> dict[tuple[int, int], list[int]] | None:
-        """Pending rows bucketed by ``(src, dst)``, or ``None`` when the
-        coflow is not table-tracked. Built lazily; maintained incrementally
-        by the engine's completion notifications; dropped after dynamics
-        (which may move flows across ports)."""
-        cid = coflow.coflow_id
-        buckets = self._group_rows.get(cid)
-        if buckets is None:
-            rows = self._pending_rows.get(cid)
-            if rows is None:
-                return None
-            buckets = {}
-            t = self.table
-            src, dst = t.src, t.dst
-            for i in rows:
-                buckets.setdefault((src[i], dst[i]), []).append(i)
-            self._group_rows[cid] = buckets
-        return buckets
-
-    def flow_groups(
-        self, coflow: CoFlow
-    ) -> dict[tuple[int, int], list[Flow]]:
-        """Pending flows bucketed by ``(src, dst)`` (flow-group compaction).
-
-        Object-path projection of :meth:`_buckets`; table-tracked coflows
-        materialise views on each call, so row-path consumers should use
-        the bucket sizes via :meth:`pending_port_counts` instead.
-        """
-        buckets = self._buckets(coflow)
-        if buckets is not None:
-            view = self.table.view
-            return {
-                key: [view[i] for i in rows]
-                for key, rows in buckets.items()
-            }
-        groups = self._groups.get(coflow.coflow_id)
-        if groups is None:
-            groups = {}
-            for f in self.pending_flows(coflow):
-                if f.finish_time is None:
-                    groups.setdefault((f.src, f.dst), []).append(f)
-            self._groups[coflow.coflow_id] = groups
-        return groups
-
     def pending_flows(self, coflow: CoFlow) -> list[Flow]:
-        """The coflow's not-yet-finished flows.
-
-        Table-tracked coflows map the exact pending-row cache through the
-        view column; hand-built states fall back to a lazily-built object
-        list whose entries are a *superset* of the truly unfinished flows
-        (callers still filter on ``finish_time``), so a stale cache can only
-        cost time, never correctness.
-        """
-        rows = self._pending_rows.get(coflow.coflow_id)
-        if rows is not None:
-            view = self.table.view
-            return [view[i] for i in rows]
-        cached = self._pending.get(coflow.coflow_id)
-        if cached is None:
-            cached = [f for f in coflow.flows if f.finish_time is None]
-            self._pending[coflow.coflow_id] = cached
-        return cached
+        """The :class:`Flow` views of the coflow's pending rows."""
+        view = self.table.view
+        return [view[i] for i in self._pending_rows[coflow.coflow_id]]
 
     def active_flow_count(self) -> int:
         return sum(
@@ -675,14 +516,8 @@ class ClusterState:
         )
 
     def coflow(self, coflow_id: int) -> CoFlow:
-        """Active coflow by id (maintained by the engine notifications)."""
-        try:
-            return self._by_id[coflow_id]
-        except KeyError:
-            for c in self.active_coflows:  # hand-built states
-                if c.coflow_id == coflow_id:
-                    return c
-            raise
+        """Active coflow by id (maintained by the notifications)."""
+        return self._by_id[coflow_id]
 
     def port_capacity(self, port: int) -> float:
         return self.capacity_override.get(port, self.fabric.capacity(port))
@@ -708,61 +543,22 @@ class ClusterState:
     def note_flow_finished(self, flow: Flow) -> None:
         """One flow of an active coflow completed."""
         cid = flow.coflow_id
-        if flow._tbl is self.table:
-            row = flow._row
-            rows = self._pending_rows.get(cid)
-            if rows is not None:
-                try:
-                    rows.remove(row)
-                except ValueError:
-                    pass
-            t = self.table
-            src, dst = t.src[row], t.dst[row]
-            buckets = self._group_rows.get(cid)
-            if buckets is not None:
-                bucket = buckets.get((src, dst))
-                if bucket is not None:
-                    try:
-                        bucket.remove(row)
-                    except ValueError:
-                        pass
-                    if not bucket:
-                        del buckets[(src, dst)]
-        else:
-            src, dst = flow.src, flow.dst
-            pending = self._pending.get(cid)
-            if pending is not None:
-                try:
-                    pending.remove(flow)
-                except ValueError:
-                    pass
-            groups = self._groups.get(cid)
-            if groups is not None:
-                bucket = groups.get((src, dst))
-                if bucket is not None:
-                    try:
-                        bucket.remove(flow)
-                    except ValueError:
-                        pass
-                    if not bucket:
-                        del groups[(src, dst)]
+        row = flow._row
+        rows = self._pending_rows.get(cid)
+        if rows is not None:
+            try:
+                rows.remove(row)
+            except ValueError:
+                pass
         counts = self._port_counts.get(cid)
         if counts is not None:
-            for port in (src, dst):
+            t = self.table
+            for port in (t.src[row], t.dst[row]):
                 left = counts.get(port, 0) - 1
                 if left > 0:
                     counts[port] = left
                 else:
                     counts.pop(port, None)
-        if self.paths is not None:
-            lcounts = self._link_counts.get(cid)
-            if lcounts is not None:
-                for link in (src, dst, *self.paths.extra_links(src, dst)):
-                    left = lcounts.get(link, 0) - 1
-                    if left > 0:
-                        lcounts[link] = left
-                    else:
-                        lcounts.pop(link, None)
         self.delta.flow_completed.add(cid)
 
     def note_coflow_finished(self, coflow_id: int) -> None:
@@ -777,11 +573,7 @@ class ClusterState:
             self.table.evict_coflow(coflow)
         self._coflow_rows.pop(coflow_id, None)
         self._pending_rows.pop(coflow_id, None)
-        self._pending.pop(coflow_id, None)
         self._port_counts.pop(coflow_id, None)
-        self._link_counts.pop(coflow_id, None)
-        self._group_rows.pop(coflow_id, None)
-        self._groups.pop(coflow_id, None)
         self._max_avail.pop(coflow_id, None)
         self.delta.completed.add(coflow_id)
         self.delta.flow_completed.discard(coflow_id)
@@ -797,14 +589,11 @@ class ClusterState:
         caches stay valid (dynamics never resurrect a *finished* flow; a
         restarted flow writes through its view into the same table row),
         but the cached ledger is dropped in case capacities changed, and
-        the flow-group compaction caches are dropped in case a restart
-        moved a flow to a new receiver port (``available_time`` is static,
-        so the availability bounds survive).
+        the port counts are dropped in case a restart moved a flow to a new
+        receiver port (``available_time`` is static, so the availability
+        bounds survive).
         """
         self.delta.mark_full()
         self._cached_ledger = None
         self._cached_override = None
         self._port_counts.clear()
-        self._link_counts.clear()
-        self._group_rows.clear()
-        self._groups.clear()

@@ -24,9 +24,9 @@ default:
 * :class:`LinkLedger` — the residual-capacity ledger over *every* link.
   It extends the dense :class:`~repro.simulator.fabric.PortLedger` columns
   (``capacity_list`` / ``used_list`` / ``touched_set``) to core links and
-  overrides the commit/fill primitives to charge a flow's whole path, so
-  schedulers that allocate through the ledger see the true bottleneck link
-  without knowing the topology.
+  overrides :meth:`~LinkLedger.path` and :meth:`~LinkLedger.commit` to
+  cover a flow's whole path, so schedulers that allocate through the
+  ledger see the true bottleneck link without knowing the topology.
 * :class:`TopologySpec` — a picklable, hashable recipe (kind,
   oversubscription, racks, spines, selector) that the CLI and the sweep
   runner use to rebuild a topology in worker processes and content-hash it
@@ -392,18 +392,14 @@ class LinkLedger(PortLedger):
 
     Extends the :class:`~repro.simulator.fabric.PortLedger` struct-of-
     arrays layout — ``capacity_list`` / ``used_list`` indexed by link id,
-    with touched-set O(changed links) reset — to the topology's core links,
-    and overrides the three allocation primitives (:meth:`commit`,
-    :meth:`fill`, :meth:`fill_capped`) to charge a flow's *entire path*:
-    the host ports plus the core links the attached :class:`PathMap`
-    assigns to the ``(src, dst)`` pair. Schedulers and allocators that go
-    through these primitives therefore see the true bottleneck link with
-    no topology knowledge; the path-aware allocator twins in
-    :mod:`repro.simulator.ratealloc` additionally read the dense lists
-    directly for their fill loops.
+    with touched-set O(changed links) reset — to the topology's core links.
+    :meth:`path` appends the core links the attached :class:`PathMap`
+    assigns to a ``(src, dst)`` pair, and :meth:`commit` charges that whole
+    path, so the rate allocators (which read paths only through
+    :meth:`path`) see the true bottleneck link with no topology knowledge.
     """
 
-    __slots__ = ("_topology", "_paths")
+    __slots__ = ("_paths",)
 
     def __init__(
         self,
@@ -413,7 +409,6 @@ class LinkLedger(PortLedger):
     ):
         self._fabric = topology.fabric
         self._metrics = None
-        self._topology = topology
         self._paths = paths
         num_links = topology.num_links
         self._capacity = array(
@@ -435,19 +430,10 @@ class LinkLedger(PortLedger):
         self._used = array("d", bytes(8 * num_links))
         self._touched = set()
 
-    @property
-    def topology(self) -> Topology:
-        return self._topology
-
-    @property
-    def paths(self) -> PathMap:
-        return self._paths
-
-    def extra_links(self, src: int, dst: int) -> tuple[int, ...]:
-        """Core links on the ``src → dst`` path (delegates to the map)."""
-        return self._paths.extra_links(src, dst)
-
-    # ---- path-charging primitives -----------------------------------------
+    def path(self, src: int, dst: int) -> tuple[int, ...]:
+        """The sender, the receiver and the core links the map assigns to
+        the pair (chosen on first lookup)."""
+        return (src, dst, *self._paths.extra_links(src, dst))
 
     def commit(self, src: int, dst: int, rate: float) -> None:
         """Reserve ``rate`` on the sender, the receiver and every core
@@ -463,69 +449,13 @@ class LinkLedger(PortLedger):
         used = self._used
         capacity = self._capacity
         touched = self._touched
-        extras = self._paths.extra_links(src, dst)
-        for link in (src, dst, *extras):
+        for link in self.path(src, dst):
             touched.add(link)
             cap = capacity[link]
             new_used = used[link] + rate
             if new_used > cap * _CAPACITY_TOLERANCE:
                 raise CapacityViolationError(str(link), new_used, cap)
             used[link] = new_used if new_used < cap else cap
-
-    def fill(self, src: int, dst: int) -> float:
-        """Commit and return the smallest residual along the whole path."""
-        if self._metrics is not None:
-            self._metrics.inc("ledger.fill")
-        used = self._used
-        capacity = self._capacity
-        extras = self._paths.extra_links(src, dst)
-        rate = capacity[src] - used[src]
-        other = capacity[dst] - used[dst]
-        if other < rate:
-            rate = other
-        for link in extras:
-            other = capacity[link] - used[link]
-            if other < rate:
-                rate = other
-        if rate <= 0:
-            return 0.0
-        touched = self._touched
-        for link in (src, dst, *extras):
-            used[link] += rate
-            touched.add(link)
-        return rate
-
-    def fill_capped(self, src: int, dst: int, cap: float) -> float:
-        """Path-aware twin of :meth:`PortLedger.fill_capped`: the grant is
-        additionally bounded by every core link's residual (an exhausted
-        core link behaves like an exhausted receiver — 0.0, no commit);
-        the ``-1.0`` sender-exhausted sentinel is unchanged."""
-        if self._metrics is not None:
-            self._metrics.inc("ledger.fill_capped")
-        used = self._used
-        capacity = self._capacity
-        rate = capacity[src] - used[src]
-        if rate <= 0:
-            return -1.0
-        other = capacity[dst] - used[dst]
-        if other < rate:
-            rate = other
-        extras = self._paths.extra_links(src, dst)
-        for link in extras:
-            other = capacity[link] - used[link]
-            if other < rate:
-                rate = other
-        if cap < rate:
-            rate = cap
-        if rate <= 0:
-            return 0.0
-        touched = self._touched
-        for link in (src, dst, *extras):
-            new_used = used[link] + rate
-            link_cap = capacity[link]
-            used[link] = new_used if new_used < link_cap else link_cap
-            touched.add(link)
-        return rate
 
     def snapshot_residuals(self) -> dict[int, float]:
         """Copy of per-link residual capacity (diagnostics/tests)."""

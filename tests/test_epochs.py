@@ -31,7 +31,8 @@ from repro.simulator.dynamics import (
 from repro.simulator.engine import SimulationResult, Simulator, run_policy
 from repro.simulator.fabric import Fabric, PortLedger
 from repro.simulator.flows import CoFlow, Flow, clone_coflows, make_coflow
-from repro.simulator.ratealloc import max_min_fair
+from repro.simulator.ratealloc import max_min_fair_rows
+from repro.simulator.state import FlowTable
 from repro.testing.reference import ReferenceSimulator, run_reference
 from repro.workloads.synthetic import WorkloadGenerator, fb_like_spec
 
@@ -337,6 +338,14 @@ def test_simulation_result_lookup_index():
 # ---- max_min_fair: rewrite vs the original reference ----------------------
 
 
+def max_min_fair(flows, ledger, *, rate_cap=None, commit=True):
+    """The row allocator over ``flows`` adopted into a fresh table."""
+    table = FlowTable()
+    rows = [table.adopt(f, pos) for pos, f in enumerate(flows)]
+    return max_min_fair_rows(rows, table, ledger, rate_cap=rate_cap,
+                             commit=commit)
+
+
 def _reference_max_min_fair(flows, ledger, *, rate_cap=None, commit=True):
     """The pre-optimisation implementation (quadratic clamp included),
     kept verbatim as the behavioural reference."""
@@ -449,9 +458,9 @@ def test_max_min_fair_rate_cap_semantics():
 
 
 def test_flow_group_compaction_cache_consistency():
-    """ClusterState's groups/counts stay exact across completion
-    notifications, and the availability gate withholds the cache until the
-    last pending flow's data exists."""
+    """ClusterState's pending rows and port counts stay exact across
+    completion notifications, and the availability gate withholds the
+    counts until the last pending flow's data exists."""
     from repro.simulator.state import ClusterState
 
     fabric = Fabric(num_machines=4, port_rate=1e6)
@@ -471,17 +480,16 @@ def test_flow_group_compaction_cache_consistency():
     # ... exact once every flow is available.
     counts = state.port_counts(coflow, now=5.0)
     assert counts == {0: 2, rcv(1): 2, 1: 1, rcv(2): 1}
-    groups = state.flow_groups(coflow)
-    assert sorted(len(b) for b in groups.values()) == [1, 2]
+    assert state.pending_rows(coflow) == coflow._rows
 
-    # A completion shrinks the bucket and the counts in lockstep.
+    # A completion shrinks the pending rows and the counts in lockstep.
     victim = coflow.flows[0]
     victim.finish_time = 1.0
     state.note_flow_finished(victim)
     assert state.port_counts(coflow, now=5.0) == {
         0: 1, rcv(1): 1, 1: 1, rcv(2): 1
     }
-    assert sorted(len(b) for b in state.flow_groups(coflow).values()) == [1, 1]
+    assert state.pending_rows(coflow) == coflow._rows[1:]
     # Counts always mirror a fresh recount of the pending set.
     recount: dict[int, int] = {}
     for f in state.pending_flows(coflow):

@@ -198,7 +198,7 @@ class TestViewCoherence:
         state.note_activated(c)
         assert c._table is state.table
         assert state.pending_rows(c) == c._rows
-        assert state.rows_tracked()
+        assert state.coflow(c.coflow_id) is c
         # A flow completion shrinks the pending-row cache.
         victim = c.flows[1]
         victim.finish_time = 1.0

@@ -17,9 +17,9 @@ paths —
   ``restore()`` and run the revived session to completion),
 * ``leaf-spine`` (every 5th seed: the same workload on a *single-rack*
   :class:`~repro.simulator.topology.LeafSpineTopology` — core links exist,
-  so every scheduler takes its path-aware branch and allocates through a
-  :class:`~repro.simulator.topology.LinkLedger`, but no path crosses a
-  core link, so the results must not move a bit),
+  so every scheduler allocates through a
+  :class:`~repro.simulator.topology.LinkLedger` on the Python references,
+  but no path crosses a core link, so the results must not move a bit),
 * ``no-fastcore`` (the compiled :mod:`repro._fastcore` kernels forced
   off — when the extension is built the other paths run the C twins, so
   this leg pins compiled-vs-Python **bitwise**; when it is not built,
@@ -29,23 +29,26 @@ must produce byte-identical CCTs, completion orders, reschedule counts and
 makespans. Workloads are deterministic functions of their seed, so any
 failure reproduces exactly.
 
-A second fuzz pins the row-path rate allocators to their object-path twins
-bit-for-bit (rates *and* resulting ledger state) — the schedulers pick the
-row path whenever the cluster state is table-tracked, so the twins must
-never drift. The path-aware allocator twins (``*_paths``) join the same
-fuzz with a big-switch path map: on paths with no core links they must be
-bit-identical to the port-only forms. The ``*-fastcore`` variants run the
-same trials with ``table.fastcore`` set, routing the row forms through the
-compiled kernels — they skip cleanly when the extension is not built.
-The ``saath-round`` legs fuzz Saath's whole big-switch admission round
-(:func:`~repro.simulator.ratealloc.saath_round_rows`, Python reference and
-compiled ``saath_round``) against the scheduler's object-path round. The
-``aalo-round`` legs do the same for Aalo's row round (``aalo_ports`` and
-the ``_allocate_port_rows`` twin against ``_allocate_port``), and the
-``queue-refresh-fastcore`` / ``queue-wakeup-fastcore`` legs pin the
-compiled queue-threshold layer (``queue_targets`` / ``queue_wakeup``) to
-the per-coflow ``refresh`` / ``next_transition_time`` (without the
-extension the batched calls are loops over those very methods).
+A second fuzz pins the row allocators bit-for-bit (rates *and* resulting
+ledger state) to the test-owned object-form oracles in
+``allocator_oracles.py``. The ``mmf`` / ``madd`` / ``equal`` / ``greedy``
+legs run the Python references on a big switch; the ``*-paths`` legs run
+them on a cross-rack leaf-spine
+:class:`~repro.simulator.topology.LinkLedger` against the former
+``*_paths`` twins, each side with its own ``least-loaded`` path map, so
+the order in which paths are first looked up must match too. The
+``*-fastcore`` variants run the same trials with ``table.fastcore`` set,
+routing the row forms through the compiled kernels — they skip cleanly
+when the extension is not built. The ``saath-round`` legs fuzz Saath's
+whole admission round (:func:`~repro.simulator.ratealloc.saath_round_rows`,
+Python reference and compiled ``saath_round``) against the oracle round,
+on a big switch and on a leaf-spine. The ``aalo-round`` legs do the same
+for Aalo's round (``aalo_ports`` and the Python reference
+``_allocate_port_rows``), and the ``queue-refresh-fastcore`` /
+``queue-wakeup-fastcore`` legs pin the compiled queue-threshold layer
+(``queue_targets`` / ``queue_wakeup``) to the per-coflow ``refresh`` /
+``next_transition_time`` (without the extension the batched calls are
+loops over those very methods).
 """
 
 from __future__ import annotations
@@ -70,22 +73,17 @@ from repro.simulator.scenario import Scenario
 from repro.simulator.session import SimulationSession
 from repro.simulator.flows import CoFlow, Flow, clone_coflows
 from repro.simulator.ratealloc import (
-    equal_rate_for_coflow,
-    equal_rate_for_coflow_paths,
     equal_rate_for_coflow_rows,
-    greedy_residual_rates,
     greedy_residual_rates_rows,
-    madd_rates,
-    madd_rates_paths,
     madd_rates_rows,
-    max_min_fair,
-    max_min_fair_paths,
     max_min_fair_rows,
     saath_round_rows,
 )
 from repro.simulator.state import ClusterState, FlowTable, SchedulingDelta
-from repro.simulator.topology import BigSwitchTopology, LeafSpineTopology, PathMap
+from repro.simulator.topology import LeafSpineTopology, LinkLedger, PathMap
 from repro.testing.reference import run_reference
+
+import allocator_oracles as oracle
 
 NUM_WORKLOADS = 20
 
@@ -195,10 +193,9 @@ def assert_engine_paths_identical(policy, fabric, coflows, seed, *,
         prints["resumed"] = fingerprint(
             SimulationSession.restore(snap).run()
         )
-        # A single-rack leaf-spine topology. Core links exist
-        # (path-aware machinery fully engaged: LinkLedger, link counts,
-        # *_paths allocators) but every flow is rack-local, so nothing
-        # may change byte-for-byte.
+        # A single-rack leaf-spine topology. Core links exist (every
+        # allocator runs its Python reference on a LinkLedger) but every
+        # flow is rack-local, so nothing may change byte-for-byte.
         prints["leaf-spine"] = fingerprint(run_policy(
             make_scheduler(policy, cfg), clone_coflows(coflows),
             fabric, cfg,
@@ -284,37 +281,36 @@ def _random_attached_flows(rng: random.Random, machines: int):
     return flows, table, rows
 
 
-def _object_saath_round(groups, ledger, min_rate, work_conservation):
-    """Saath's object-path admission round: ``_all_or_none_admissible`` +
-    ``equal_rate_for_coflow`` per coflow, then ``greedy_residual_rates``.
-    Returns the allocation and the (equal-rate, greedy) call counts."""
-    saath = SaathScheduler(SimulationConfig(min_rate=min_rate),
-                           work_conservation=work_conservation)
+def _object_saath_round(groups, ledger, min_rate, work_conservation,
+                        paths=None):
+    """The oracle admission round (``allocator_oracles.saath_round``).
+    Returns the allocation, the (equal-rate, greedy) call counts and the
+    capacity error raised, if any."""
     allocation = Allocation()
     calls = [0, 0]
-    missed = []
     try:
-        for cid, flows, _rows, counts in groups:
-            if not flows:
-                continue
-            if saath._all_or_none_admissible(flows, ledger, counts):
-                calls[0] += 1
-                rates = equal_rate_for_coflow(
-                    CoFlow(coflow_id=cid, arrival_time=0.0, flows=[]),
-                    ledger, flows=flows, port_counts=counts,
-                )
-                if rates:
-                    allocation.rates.update(rates)
-                    allocation.scheduled_coflows.add(cid)
-                    continue
-            missed.append(flows)
-        if work_conservation and missed:
-            calls[1] += 1
-            saath._work_conserve(missed, ledger, allocation)
+        calls = oracle.saath_round(
+            [(cid, flows, counts) for cid, flows, _rows, counts in groups],
+            ledger, min_rate, work_conservation, allocation, paths=paths)
         error = None
     except CapacityViolationError as exc:
         error = exc
     return allocation, calls, error
+
+
+def _twin_ledgers(fabric, topology):
+    """Two fresh ledgers: port ledgers, or link ledgers over ``topology``
+    with a path map each (so each side assigns its own paths)."""
+    if topology is None:
+        return PortLedger(fabric), PortLedger(fabric)
+    return (LinkLedger(topology, PathMap(topology)),
+            LinkLedger(topology, PathMap(topology)))
+
+
+def _assigned(ledger):
+    """The ledger's path assignments, in assignment order."""
+    paths = getattr(ledger, "_paths", None)
+    return None if paths is None else list(paths.assigned_pairs().items())
 
 
 def _saath_round_instance(rng, machines, min_rate):
@@ -354,19 +350,21 @@ def _saath_round_instance(rng, machines, min_rate):
 
 
 def _assert_saath_round_matches(groups, table, fabric, precommits, min_rate,
-                                work_conservation, fastcore, label):
-    """Run the object round and ``saath_round_rows`` on twin ledgers and
+                                work_conservation, fastcore, label,
+                                topology=None):
+    """Run the oracle round and ``saath_round_rows`` on twin ledgers and
     pin rates (with insertion order), admitted / work-conserved sets (with
-    iteration order), ledger state and kernel counters."""
-    obj_ledger = PortLedger(fabric)
-    row_ledger = PortLedger(fabric)
+    iteration order), ledger state, path assignments and kernel
+    counters."""
+    obj_ledger, row_ledger = _twin_ledgers(fabric, topology)
     for src, dst, rate in precommits:
         obj_ledger.commit(src, dst, rate)
         row_ledger.commit(src, dst, rate)
     metrics = MetricsRegistry()
     row_ledger._metrics = metrics
     expected, calls, obj_error = _object_saath_round(
-        groups, obj_ledger, min_rate, work_conservation)
+        groups, obj_ledger, min_rate, work_conservation,
+        paths=None if topology is None else obj_ledger._paths)
     got = Allocation()
     ids = [cid for cid, *_ in groups]
     table.fastcore = fastcore
@@ -389,8 +387,9 @@ def _assert_saath_round_matches(groups, table, fabric, precommits, min_rate,
     assert ([u.hex() for u in row_ledger.used_list]
             == [u.hex() for u in obj_ledger.used_list]), label
     assert row_ledger.touched_set == obj_ledger.touched_set, label
+    assert _assigned(row_ledger) == _assigned(obj_ledger), label
     if obj_error is None:
-        kind = "fastcore" if fastcore else "python"
+        kind = "fastcore" if fastcore and topology is None else "python"
         assert metrics.counter(f"kernel.equal_rate_rows.{kind}") == calls[0]
         assert metrics.counter(f"kernel.greedy_rows.{kind}") == calls[1]
     return expected, obj_error
@@ -399,23 +398,27 @@ def _assert_saath_round_matches(groups, table, fabric, precommits, min_rate,
 def _check_saath_round(rng, fastcore):
     machines = 6
     fabric = Fabric(num_machines=machines, port_rate=1e6)
-    outcomes = {"scheduled": 0, "wc": 0, "exact": 0}
-    for trial in range(150):
-        min_rate = rng.choice([1.0, 1024.0, 5e4])
-        table, groups = _saath_round_instance(rng, machines, min_rate)
-        # Pre-load distinct senders; some ports are left with a residual
-        # of exactly min_rate (admissible: the test is >=).
-        precommits = []
-        for src in rng.sample(range(machines), rng.randrange(0, 4)):
-            rate = rng.choice([1e5, 6e5, 1e6 - min_rate])
-            outcomes["exact"] += rate == 1e6 - min_rate
-            precommits.append((src, src + machines, rate))
-        expected, _ = _assert_saath_round_matches(
-            groups, table, fabric, precommits, min_rate,
-            rng.random() < 0.8, fastcore, f"saath-round trial {trial}")
-        outcomes["scheduled"] += bool(expected.scheduled_coflows)
-        outcomes["wc"] += bool(expected.work_conserved_coflows)
-    assert all(outcomes.values()), outcomes
+    leaf_spine = LeafSpineTopology(fabric, racks=3, spines=2, oversub=2.0,
+                                   path_select="least-loaded")
+    for topology in (None, leaf_spine):
+        outcomes = {"scheduled": 0, "wc": 0, "exact": 0}
+        for trial in range(150):
+            min_rate = rng.choice([1.0, 1024.0, 5e4])
+            table, groups = _saath_round_instance(rng, machines, min_rate)
+            # Pre-load distinct senders; some ports are left with a
+            # residual of exactly min_rate (admissible: the test is >=).
+            precommits = []
+            for src in rng.sample(range(machines), rng.randrange(0, 4)):
+                rate = rng.choice([1e5, 6e5, 1e6 - min_rate])
+                outcomes["exact"] += rate == 1e6 - min_rate
+                precommits.append((src, src + machines, rate))
+            expected, _ = _assert_saath_round_matches(
+                groups, table, fabric, precommits, min_rate,
+                rng.random() < 0.8, fastcore,
+                f"saath-round trial {trial} ({topology})", topology)
+            outcomes["scheduled"] += bool(expected.scheduled_coflows)
+            outcomes["wc"] += bool(expected.work_conserved_coflows)
+        assert all(outcomes.values()), outcomes
 
     # An admitted coflow whose equal rate rounds to zero falls through to
     # work conservation: port 0 keeps one denormal step (== min_rate, so
@@ -501,12 +504,11 @@ def _random_round_specs(rng, machines, num_queues):
     return specs
 
 
-def _build_round(specs, fabric, attach, notify_finished=False):
-    """Materialise ``specs`` as a cluster state; ``attach`` runs the engine
-    notification (table rows, pending caches) for every coflow, otherwise
-    the state is hand-built and schedulers take their object path. Flows
-    finished after activation stay in the pending-row caches (exercising
-    the kernels' finished-row filters) unless ``notify_finished``."""
+def _build_round(specs, fabric, notify_finished=False, topology=None):
+    """Materialise ``specs`` as a cluster state (which registers every
+    coflow's table rows and pending caches). Flows finished after
+    activation stay in the pending-row caches (exercising the kernels'
+    finished-row filters) unless ``notify_finished``."""
     coflows = []
     for cid, flows in specs:
         coflows.append(CoFlow(coflow_id=cid, arrival_time=0.0, flows=[
@@ -517,14 +519,13 @@ def _build_round(specs, fabric, attach, notify_finished=False):
                  available_time=f["available_time"])
             for f in flows
         ]))
-    state = ClusterState(fabric=fabric, active_coflows=list(coflows))
+    state = ClusterState(fabric=fabric, active_coflows=list(coflows),
+                         topology=topology)
     for c, (_, flows) in zip(coflows, specs):
-        if attach:
-            state.note_activated(c)
         for flow, f in zip(c.flows, flows):
             if f["finish"] == "after":
                 flow.finish_time = 1.0
-                if attach and notify_finished:
+                if notify_finished:
                     state.note_flow_finished(flow)
     return state
 
@@ -534,12 +535,16 @@ def _forbid(*_args, **_kwargs):
 
 
 def _check_aalo_round(rng, fastcore):
-    """Aalo's row round (``aalo_ports`` or the ``_allocate_port_rows``
-    twin) against the object round (``_allocate_port``) on twin states:
-    same queue refresh, same grants in the same order, same ledger."""
+    """Aalo's round (``aalo_ports`` or the Python reference
+    ``_allocate_port_rows``) against the oracle port service
+    (``allocator_oracles.aalo_round``) on twin states, on a big switch and
+    on a cross-rack leaf-spine with dead receivers and dead core links:
+    same queue refresh, same grants in the same order, same ledger, same
+    path assignments."""
     machines = 6
     fabric = Fabric(num_machines=machines, port_rate=1e6)
-    seen = {"unsorted": 0, "gated": 0, "dead": 0, "multi-queue": 0}
+    seen = {"unsorted": 0, "gated": 0, "dead": 0, "multi-queue": 0,
+            "core": 0, "dead-core": 0}
     for trial in range(150):
         num_queues = rng.choice([1, 4])
         specs = _random_round_specs(rng, machines, num_queues)
@@ -547,9 +552,18 @@ def _check_aalo_round(rng, fastcore):
         rng.shuffle(arrival)
         dead = ({rng.randrange(machines) + machines}
                 if rng.random() < 0.3 else set())
+        leaf = rng.random() < 0.5
+        if leaf and rng.random() < 0.4:
+            probe = LeafSpineTopology(fabric, racks=3, spines=2)
+            dead.add(probe.uplink(rng.randrange(3), rng.randrange(2)))
         outcomes = []
-        for attach in (True, False):
-            state = _build_round(specs, fabric, attach, notify_finished=True)
+        for use_oracle in (False, True):
+            topology = (LeafSpineTopology(fabric, racks=3, spines=2,
+                                          oversub=2.0,
+                                          path_select="least-loaded")
+                        if leaf else None)
+            state = _build_round(specs, fabric, notify_finished=True,
+                                 topology=topology)
             state.table.fastcore = fastcore
             state.capacity_override = {p: 0.0 for p in dead}
             aalo = AaloScheduler(_queue_config(num_queues))
@@ -557,10 +571,14 @@ def _check_aalo_round(rng, fastcore):
             aalo.bind_instrumentation(None, metrics)
             for cid in arrival:
                 aalo.on_coflow_arrival(state.coflow(cid), 0.0)
-            allocation = aalo.schedule(state, 1.0)
-            # Only the row round counts a kernel call.
-            kind = "fastcore" if attach and fastcore else "python"
-            assert metrics.counter(f"kernel.aalo_ports.{kind}") == attach
+            if use_oracle:
+                aalo._assign_queues(state, 1.0)
+                allocation = Allocation()
+                oracle.aalo_round(aalo, state, 1.0, allocation)
+            else:
+                allocation = aalo.schedule(state, 1.0)
+                kind = "fastcore" if fastcore and not leaf else "python"
+                assert metrics.counter(f"kernel.aalo_ports.{kind}") == 1
             ledger = state._cached_ledger
             outcomes.append((
                 list(allocation.rates.items()),
@@ -568,9 +586,10 @@ def _check_aalo_round(rng, fastcore):
                 [u.hex() for u in ledger.used_list],
                 ledger.touched_set,
                 aalo.tracker.queue_map,
+                _assigned(ledger),
             ))
         row, obj = outcomes
-        assert row == obj, f"aalo-round trial {trial}"
+        assert row == obj, f"aalo-round trial {trial} (leaf-spine={leaf})"
         queues_at = {}
         for cid, flows in specs:
             for f in flows:
@@ -583,13 +602,16 @@ def _check_aalo_round(rng, fastcore):
         seen["dead"] += any(f["dst"] in dead
                             for _, flows in specs for f in flows)
         seen["multi-queue"] += any(len(q) > 1 for q in queues_at.values())
+        seen["core"] += leaf and any(links for _, links in row[5])
+        seen["dead-core"] += leaf and any(
+            dead.intersection(links) for _, links in row[5])
     assert all(seen.values()), seen
 
 
 def _queue_trackers(rng, specs, fabric, metric, num_queues, fastcore):
     """An attached state plus a batched and a per-coflow tracker with the
     same (partly forced, last queue included) queue placements."""
-    state = _build_round(specs, fabric, attach=True)
+    state = _build_round(specs, fabric)
     state.table.fastcore = fastcore
     cfg = _queue_config(num_queues)
     batched = QueueTracker(cfg, metric=metric)
@@ -737,20 +759,21 @@ def _check_queue_wakeup(rng, fastcore):
 
 @pytest.mark.parametrize("allocator", [
     "mmf", "madd", "equal", "greedy",
-    "mmf-paths", "madd-paths", "equal-paths",
+    "mmf-paths", "madd-paths", "equal-paths", "greedy-paths",
     "mmf-fastcore", "madd-fastcore", "greedy-fastcore",
     "saath-round", "saath-round-fastcore",
     "aalo-round", "aalo-round-fastcore",
     "queue-refresh-fastcore", "queue-wakeup-fastcore",
 ])
 def test_row_allocators_match_object_allocators(allocator):
-    """Row-path and path-aware allocators are bit-identical to the object
-    forms — same rates, same residual ledger — across random instances
-    (the ``*_paths`` twins run with a big-switch path map: every path is
-    ``(src, dst)``, so the port-only arithmetic must reproduce exactly).
-    The ``*-fastcore`` variants set ``table.fastcore`` so the row forms
-    dispatch to the compiled kernels, fuzzing C directly against the
-    object allocators; they skip when the extension is not built."""
+    """The row allocators are bit-identical to the test-owned object-form
+    oracles — same rates, same residual ledger — across random instances.
+    The ``*-paths`` legs run on a cross-rack leaf-spine LinkLedger against
+    the former ``*_paths`` twins, each side with its own ``least-loaded``
+    path map, and also pin the path assignments. The ``*-fastcore``
+    variants set ``table.fastcore`` so the row forms dispatch to the
+    compiled kernels, fuzzing C directly against the oracles; they skip
+    when the extension is not built."""
     fastcore = allocator.endswith("-fastcore")
     if fastcore:
         if not _fastcore.AVAILABLE:
@@ -768,51 +791,52 @@ def test_row_allocators_match_object_allocators(allocator):
         return
     machines = 8
     fabric = Fabric(num_machines=machines, port_rate=1e6)
+    topology = None
+    if allocator.endswith("-paths"):
+        allocator = allocator[: -len("-paths")]
+        topology = LeafSpineTopology(fabric, racks=4, spines=2, oversub=4.0,
+                                     path_select="least-loaded")
     coflow_stub = CoFlow(coflow_id=1, arrival_time=0.0, flows=[])
-    paths = PathMap(BigSwitchTopology(fabric))
+    crossed = 0
     for trial in range(120):
         flows, table, rows = _random_attached_flows(rng, machines)
         table.fastcore = fastcore
-        obj_ledger = PortLedger(fabric)
-        row_ledger = PortLedger(fabric)
-        # Pre-commit some random load so residuals differ across ports.
+        obj_ledger, row_ledger = _twin_ledgers(fabric, topology)
+        paths = None if topology is None else obj_ledger._paths
+        # Pre-commit some random load so residuals differ across links.
         for _ in range(rng.randrange(0, 4)):
             src = rng.randrange(machines)
-            obj_ledger.commit(src, src + machines, 1e5)
-            row_ledger.commit(src, src + machines, 1e5)
+            dst = rng.choice([src, rng.randrange(machines)]) + machines
+            obj_ledger.commit(src, dst, 1e5)
+            row_ledger.commit(src, dst, 1e5)
 
         if allocator == "mmf":
             cap = rng.choice([None, None, 0.0, 1e3, 2e9])
-            expected = max_min_fair(flows, obj_ledger, rate_cap=cap)
+            if paths is None:
+                expected = oracle.max_min_fair(flows, obj_ledger,
+                                               rate_cap=cap)
+            else:
+                expected = oracle.max_min_fair_paths(flows, paths,
+                                                     obj_ledger, rate_cap=cap)
             got = max_min_fair_rows(rows, table, row_ledger, rate_cap=cap)
         elif allocator == "madd":
-            expected = madd_rates(coflow_stub, obj_ledger, flows=flows)
+            if paths is None:
+                expected = oracle.madd_rates(coflow_stub, obj_ledger,
+                                             flows=flows)
+            else:
+                expected = oracle.madd_rates_paths(coflow_stub, obj_ledger,
+                                                   paths, flows=flows)
             got = madd_rates_rows(rows, table, row_ledger)
         elif allocator == "equal":
-            expected = equal_rate_for_coflow(
-                coflow_stub, obj_ledger, flows=flows
-            )
+            if paths is None:
+                expected = oracle.equal_rate_for_coflow(
+                    coflow_stub, obj_ledger, flows=flows)
+            else:
+                expected = oracle.equal_rate_for_coflow_paths(
+                    coflow_stub, obj_ledger, paths, flows=flows)
             got = equal_rate_for_coflow_rows(rows, table, row_ledger)
-        elif allocator == "mmf-paths":
-            cap = rng.choice([None, None, 0.0, 1e3, 2e9])
-            expected = max_min_fair(flows, obj_ledger, rate_cap=cap)
-            got = max_min_fair_paths(
-                flows, paths, row_ledger, rate_cap=cap
-            )
-        elif allocator == "madd-paths":
-            expected = madd_rates(coflow_stub, obj_ledger, flows=flows)
-            got = madd_rates_paths(
-                coflow_stub, row_ledger, paths, flows=flows
-            )
-        elif allocator == "equal-paths":
-            expected = equal_rate_for_coflow(
-                coflow_stub, obj_ledger, flows=flows
-            )
-            got = equal_rate_for_coflow_paths(
-                coflow_stub, row_ledger, paths, flows=flows
-            )
         else:
-            expected = greedy_residual_rates(flows, obj_ledger)
+            expected = oracle.greedy_residual_rates(flows, obj_ledger)
             got = greedy_residual_rates_rows(rows, table, row_ledger)
 
         assert got == expected, f"{allocator} diverged at trial {trial}"
@@ -820,5 +844,9 @@ def test_row_allocators_match_object_allocators(allocator):
                 == obj_ledger.snapshot_residuals()), (
             f"{allocator} ledger state diverged at trial {trial}"
         )
+        assert _assigned(row_ledger) == _assigned(obj_ledger), (
+            f"{allocator} path assignment diverged at trial {trial}")
+        crossed += any(links for _, links in _assigned(row_ledger) or ())
         for fid, rate in got.items():
             assert math.isfinite(rate)
+    assert topology is None or crossed

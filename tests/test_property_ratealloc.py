@@ -16,11 +16,12 @@ from hypothesis import given, settings, strategies as st
 from repro.simulator.fabric import Fabric, PortLedger
 from repro.simulator.flows import CoFlow, Flow
 from repro.simulator.ratealloc import (
-    equal_rate_for_coflow,
-    greedy_residual_rates,
-    madd_rates,
-    max_min_fair,
+    equal_rate_for_coflow_rows,
+    greedy_residual_rates_rows,
+    madd_rates_rows,
+    max_min_fair_rows,
 )
+from repro.simulator.state import FlowTable
 
 MACHINES = 6
 RATE = 100.0
@@ -45,6 +46,28 @@ def flow_sets(draw, max_flows=12, coflow_id=0):
 
 def _fabric():
     return Fabric(num_machines=MACHINES, port_rate=RATE)
+
+
+def _rows(flows):
+    """``flows`` adopted into a fresh flow table: (rows, table)."""
+    table = FlowTable()
+    return [table.adopt(f, pos) for pos, f in enumerate(flows)], table
+
+
+def max_min_fair(flows, ledger, **kw):
+    return max_min_fair_rows(*_rows(flows), ledger, **kw)
+
+
+def madd_rates(coflow, ledger):
+    return madd_rates_rows(*_rows(coflow.flows), ledger)
+
+
+def equal_rate_for_coflow(coflow, ledger):
+    return equal_rate_for_coflow_rows(*_rows(coflow.flows), ledger)
+
+
+def greedy_residual_rates(flows, ledger):
+    return greedy_residual_rates_rows(*_rows(flows), ledger)
 
 
 def _port_usage(flows, rates):

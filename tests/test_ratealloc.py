@@ -5,15 +5,43 @@ import pytest
 from repro.simulator.fabric import Fabric, PortLedger
 from repro.simulator.flows import make_coflow
 from repro.simulator.ratealloc import (
-    equal_rate_for_coflow,
-    greedy_residual_rates,
-    madd_rates,
-    max_min_fair,
+    equal_rate_for_coflow_rows,
+    greedy_residual_rates_rows,
+    madd_rates_rows,
+    max_min_fair_rows,
 )
+from repro.simulator.state import FlowTable
 
 
 def _fabric(machines=6, rate=100.0):
     return Fabric(num_machines=machines, port_rate=rate)
+
+
+def _rows(coflow):
+    """The coflow's flows adopted into a fresh flow table."""
+    table = FlowTable()
+    return table.adopt_coflow(coflow), table
+
+
+def max_min_fair(flows, ledger, **kw):
+    """Max-min fairness over the rows of ``flows`` (one coflow)."""
+    table = FlowTable()
+    rows = [table.adopt(f, pos) for pos, f in enumerate(flows)]
+    return max_min_fair_rows(rows, table, ledger, **kw)
+
+
+def madd_rates(coflow, ledger):
+    return madd_rates_rows(*_rows(coflow), ledger)
+
+
+def equal_rate_for_coflow(coflow, ledger):
+    return equal_rate_for_coflow_rows(*_rows(coflow), ledger)
+
+
+def greedy_residual_rates(flows, ledger):
+    table = FlowTable()
+    rows = [table.adopt(f, pos) for pos, f in enumerate(flows)]
+    return greedy_residual_rates_rows(rows, table, ledger)
 
 
 class TestMaxMinFair:

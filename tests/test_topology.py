@@ -16,8 +16,6 @@ The load-bearing invariants:
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro.config import SimulationConfig
@@ -32,8 +30,12 @@ from repro.simulator.dynamics import (
 )
 from repro.simulator.engine import run_policy
 from repro.simulator.fabric import Fabric, PortLedger
-from repro.simulator.flows import clone_coflows, make_coflow
-from repro.simulator.state import ClusterState
+from repro.simulator.flows import Flow, clone_coflows, make_coflow
+from repro.simulator.ratealloc import (
+    equal_rate_for_coflow_rows,
+    greedy_residual_rates_rows,
+)
+from repro.simulator.state import ClusterState, FlowTable
 from repro.simulator.topology import (
     BigSwitchTopology,
     LeafSpineTopology,
@@ -168,6 +170,14 @@ def _cross_rack_pair(topo):
     return src, dst, paths, paths.extra_links(src, dst)
 
 
+def _greedy(ledger, src, dst):
+    """The work-conservation fill of one ``src -> dst`` flow's row."""
+    table = FlowTable()
+    rows = [table.adopt(Flow(flow_id=0, coflow_id=1, src=src, dst=dst,
+                             volume=1.0), 0)]
+    return greedy_residual_rates_rows(rows, table, ledger).get(0, 0.0)
+
+
 def test_link_ledger_commit_charges_whole_path(topo):
     src, dst, paths, extras = _cross_rack_pair(topo)
     ledger = LinkLedger(topo, paths)
@@ -210,22 +220,22 @@ def test_link_ledger_capacity_tolerance_edges(topo):
     ledger.commit(src, dst, 25.0 * (1.0 + 1e-10))
     assert ledger.used(extras[0]) == 25.0
     assert ledger.residual(extras[0]) == 0.0
-    # fill() on an exhausted path grants nothing.
-    assert ledger.fill(src, dst) == 0.0
+    # A fill across the exhausted path grants nothing.
+    assert _greedy(ledger, src, dst) == 0.0
 
 
 def test_link_ledger_fill_bounded_by_core_link(topo):
     src, dst, paths, extras = _cross_rack_pair(topo)
     ledger = LinkLedger(topo, paths)
-    assert ledger.fill(src, dst) == 25.0  # uplink-capped, not 100
+    assert ledger.path(src, dst) == (src, dst, *extras)
+    assert _greedy(ledger, src, dst) == 25.0  # uplink-capped, not 100
     assert ledger.used(src) == 25.0
-    # fill_capped: core-link exhaustion behaves like a full receiver (0.0,
-    # nothing committed), while an exhausted sender keeps the -1 sentinel.
-    assert ledger.fill_capped(src, dst, math.inf) == 0.0
-    ledger2 = LinkLedger(topo, paths)
-    assert ledger2.fill_capped(src, dst, 10.0) == 10.0
-    ledger2.commit(0, 9, 90.0)  # exhaust sender 0 (10 + 90 = 100)
-    assert ledger2.fill_capped(0, 9, 1.0) == -1.0
+    assert all(ledger.used(link) == 25.0 for link in extras)
+    # Core-link exhaustion behaves like a full receiver: nothing granted,
+    # nothing committed, while a rack-local flow still fills the sender.
+    assert _greedy(ledger, src, dst) == 0.0
+    assert ledger.used(src) == 25.0
+    assert _greedy(ledger, 0, 9) == 75.0
 
 
 def test_link_ledger_override_validation(topo):
@@ -259,22 +269,24 @@ def test_state_path_aware_only_with_core_links(fabric, topo):
 
 
 def test_link_counts_cover_core_links(fabric, topo):
+    """Saath's D2 equal rate counts every link of each flow's path: the
+    core link a single flow crosses (25 B/s) binds tighter than the
+    sender both flows share (100 / 2)."""
     state = ClusterState(fabric=fabric, topology=topo)
     # One rack-local flow (0->1) and one cross-rack flow (0->7).
     coflow = make_coflow(1, 0.0, [(0, 9, 100.0), (0, 15, 100.0)])
     state.active_coflows.append(coflow)
     state.note_activated(coflow)
-    counts = state.link_counts(coflow, now=0.0)
-    extras = state.paths.extra_links(0, 15)
-    assert counts[0] == 2  # both flows send from port 0
-    assert counts[9] == 1 and counts[15] == 1
-    assert all(counts[link] == 1 for link in extras)
-    # Completion notifications decrement path links too.
+    rates = equal_rate_for_coflow_rows(
+        state.schedulable_rows(coflow, 0.0), state.table, state.make_ledger())
+    assert rates == {0: 25.0, 1: 25.0}
+    # Completion notifications shrink the rows the counts come from.
     flow = coflow.flows[1]
     flow.finish_time = 1.0
     state.note_flow_finished(flow)
-    counts = state.link_counts(coflow, now=2.0)
-    assert counts == {0: 1, 9: 1}
+    rates = equal_rate_for_coflow_rows(
+        state.schedulable_rows(coflow, 2.0), state.table, state.make_ledger())
+    assert rates == {0: 100.0}
 
 
 # ---- topology spec ----------------------------------------------------------
