@@ -7,8 +7,10 @@ a new policy name, and races it against Saath and Aalo on the same
 workload. The point is the extension surface:
 
 * subclass :class:`repro.Scheduler` and implement ``schedule``,
-* reuse the building blocks (``PortLedger`` via ``state.make_ledger()``,
-  the rate helpers in ``repro.simulator.ratealloc``),
+* read flows as flow-table rows (``state.schedulable_rows`` indexes the
+  ``state.table`` columns) and reuse the building blocks (``PortLedger``
+  via ``state.make_ledger()``, whose ``path`` lists the links a flow
+  crosses, and the row allocators in ``repro.simulator.ratealloc``),
 * call :func:`repro.register_policy` so the CLI, experiments and the rest
   of the harness can refer to it by name.
 """
@@ -25,7 +27,10 @@ from repro import (
     run_policy,
 )
 from repro.analysis.metrics import per_coflow_speedups
-from repro.simulator.ratealloc import equal_rate_for_coflow, greedy_residual_rates
+from repro.simulator.ratealloc import (
+    equal_rate_for_coflow_rows,
+    greedy_residual_rates_rows,
+)
 from repro.workloads.synthetic import WorkloadGenerator, fb_like_spec
 
 
@@ -37,6 +42,7 @@ class WidestCoflowFirst(Scheduler):
 
     def schedule(self, state, now):
         ledger = state.make_ledger()
+        table = state.table
         allocation = Allocation()
         order = sorted(
             state.active_coflows,
@@ -44,22 +50,22 @@ class WidestCoflowFirst(Scheduler):
         )
         missed = []
         for coflow in order:
-            flows = state.schedulable_flows(coflow, now)
-            if not flows:
+            rows = state.schedulable_rows(coflow, now)
+            if not rows:
                 continue
-            ports = {p for f in flows for p in (f.src, f.dst)}
-            if all(ledger.has_capacity(p, self.config.min_rate)
-                   for p in ports):
-                rates = equal_rate_for_coflow(coflow, ledger, flows=flows)
+            links = {link for i in rows
+                     for link in ledger.path(table.src[i], table.dst[i])}
+            if all(ledger.has_capacity(link, self.config.min_rate)
+                   for link in links):
+                rates = equal_rate_for_coflow_rows(rows, table, ledger)
                 if rates:
                     allocation.rates.update(rates)
                     allocation.scheduled_coflows.add(coflow.coflow_id)
                     continue
             missed.append(coflow)
-        leftovers = [
-            f for c in missed for f in state.schedulable_flows(c, now)
-        ]
-        allocation.rates.update(greedy_residual_rates(leftovers, ledger))
+        leftovers = [i for c in missed for i in state.schedulable_rows(c, now)]
+        allocation.rates.update(
+            greedy_residual_rates_rows(leftovers, table, ledger))
         return allocation
 
 

@@ -10,7 +10,12 @@ and Saath (``queue_targets`` / ``queue_wakeup``, twins of the per-coflow
 ``QueueTracker.target_queue`` / ``QueueTracker.next_transition_time``) with the
 same IEEE-754 operations in the same order, so results are **bitwise
 identical** to the pure-Python rows path — asserted by the fuzz firewall
-(``tests/test_fuzz_equivalence.py``).
+(``tests/test_fuzz_equivalence.py``). Each kernel has exactly one Python
+reference. The allocator and round kernels address the ledger as
+port-indexed arrays, so callers dispatch them only for an exact
+:class:`~repro.simulator.fabric.PortLedger`; a multi-tier
+:class:`~repro.simulator.topology.LinkLedger`, whose flows are charged
+along whole paths, always runs the Python references.
 
 This package degrades gracefully: when the extension is not built (no
 compiler, fresh checkout, cross-platform wheel), :data:`core` is ``None``,

@@ -141,7 +141,7 @@ class ContentionTracker:
         """Index a newly-active coflow (not already indexed).
 
         ``ports`` optionally supplies the coflow's unfinished-flow port set
-        (the cluster state's flow-group compaction cache) so the tracker
+        (the cluster state's port-count cache) so the tracker
         needn't rescan every flow; it must equal ``ports_in_use(coflow)``.
         """
         if ports is None:

@@ -261,7 +261,7 @@ class SaathScheduler(Scheduler):
             tracker.rebuild(state.active_coflows)
         else:
             # Delta-driven rounds run against live engine notifications, so
-            # the compaction caches are exact and hand the tracker each
+            # the port-count caches are exact and hand the tracker each
             # dirty coflow's port footprint without a flow rescan.
             delta = state.delta
             for cid in delta.completed:

@@ -159,17 +159,23 @@ class AaloScheduler(Scheduler):
 
     def _admit(self, state: ClusterState, ids: list[int],
                groups: list[list[int]]) -> Allocation:
-        """Serve every sender port from a fresh ledger.
+        """Serve every sender port from a fresh ledger."""
+        allocation = Allocation()
+        self._serve_rows(ids, groups, state.table, state.acquire_ledger(),
+                         allocation)
+        return allocation
+
+    def _serve_rows(self, ids: list[int], groups: list[list[int]], table,
+                    ledger, allocation: Allocation) -> None:
+        """Port service: bucket rows per sender, serve each port.
 
         The compiled ``aalo_ports`` does the (queue, FIFO) ordering, the
         per-port bucketing (CSR over senders) and both allocation passes;
         only the exact PortLedger layout qualifies. Otherwise — no
         extension, a LinkLedger, or a tracer that wants port-level events
-        — the round runs on the Python reference :meth:`_allocate_port_rows`.
+        — the round runs on the Python reference
+        :meth:`_allocate_port_rows`.
         """
-        ledger = state.acquire_ledger()
-        allocation = Allocation()
-        table = state.table
         tracer = self.tracer
         if (table.fastcore and _core is not None
                 and type(ledger) is PortLedger
@@ -184,7 +190,7 @@ class AaloScheduler(Scheduler):
                 ledger.capacity_list, ledger.used_list, ledger.touched_set,
                 allocation.rates, allocation.scheduled_coflows,
             )
-            return allocation
+            return
         if self.metrics is not None:
             self.metrics.inc("kernel.aalo_ports.python")
         per_sender = self._per_sender(ids, groups, table.src.__getitem__)
@@ -201,10 +207,10 @@ class AaloScheduler(Scheduler):
         # the real system's races on receiver capacity.
         for port in sorted(per_sender):
             self._allocate_port_rows(port, per_sender[port], lists)
-        return allocation
 
-    def _allocate_port_rows(self, port: int, runs: list[tuple[int, list[int]]],
-                       lists: tuple) -> None:
+    def _allocate_port_rows(self, port: int,
+                            runs: list[tuple[int, list[int]]],
+                            lists: tuple) -> None:
         """Weighted queue shares at one sender port, then a spill pass.
 
         ``runs`` holds the port's schedulable rows sliced into runs of

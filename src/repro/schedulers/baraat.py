@@ -17,6 +17,7 @@ limitation as Aalo").
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 
 from ..config import SimulationConfig
@@ -60,8 +61,9 @@ class BaraatFifoLmScheduler(Scheduler):
                 per_sender[src_col[i]].append(i)
 
         ledger = state.acquire_ledger()
-        residual = ledger.residual
         path = ledger.path
+        commit = ledger.commit
+        lcap, lused = ledger.capacity_list, ledger.used_list
         allocation = Allocation()
         rates = allocation.rates
         order = self._arrival_order
@@ -85,22 +87,29 @@ class BaraatFifoLmScheduler(Scheduler):
             # A flow's grant is capped by the fair share and by every
             # other link of its path (the receiver, plus any core links on
             # a multi-tier fabric); ledger.commit charges the same links.
-            fair = residual(port) / len(eligible)
+            # A negative ``capacity - used`` stands in for the zero
+            # residual it clamps to: either way the flow is skipped.
+            fair = ledger.residual(port) / len(eligible)
             for i in eligible:
                 rate = fair
                 for link in path(port, dst_col[i])[1:]:
-                    rate = min(rate, residual(link))
+                    left = lcap[link] - lused[link]
+                    if left < rate:
+                        rate = left
                 if rate <= 0:
                     continue
-                ledger.commit(port, dst_col[i], rate)
+                commit(port, dst_col[i], rate)
                 rates[fid[i]] = rates.get(fid[i], 0.0) + rate
                 allocation.scheduled_coflows.add(cid[i])
             # Leftovers (receiver-capped flows) spill to eligible flows.
             for i in eligible:
-                extra = min(residual(link)
-                            for link in path(port, dst_col[i]))
+                extra = math.inf
+                for link in path(port, dst_col[i]):
+                    left = lcap[link] - lused[link]
+                    if left < extra:
+                        extra = left
                 if extra <= 0:
                     continue
-                ledger.commit(port, dst_col[i], extra)
+                commit(port, dst_col[i], extra)
                 rates[fid[i]] = rates.get(fid[i], 0.0) + extra
         return allocation

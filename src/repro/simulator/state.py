@@ -63,7 +63,7 @@ class FlowTable:
     back into the view object's shadow storage and the row returns to the
     free list. Between those two instants the table is the single source of
     truth: the ``Flow`` view's mutable properties read and write these
-    arrays, so object-path and row-path consumers always agree.
+    arrays, so object and row consumers always agree.
 
     Index-lifetime rules:
 
@@ -291,12 +291,12 @@ class ClusterState:
     )
     _cached_ledger: PortLedger | None = field(default=None, repr=False)
     _cached_override: dict[int, float] | None = field(default=None, repr=False)
-    #: coflow_id -> {port: number of pending flows touching it} (compaction).
+    #: coflow_id -> {port: number of pending flows touching it}.
     _port_counts: dict[int, dict[int, int]] = field(
         default_factory=dict, repr=False
     )
     #: coflow_id -> max ``available_time`` over its flows (static bound used
-    #: to decide when the compaction caches equal the schedulable set).
+    #: to decide when the port counts describe the schedulable set).
     _max_avail: dict[int, float] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -419,7 +419,7 @@ class ClusterState:
         """Latest ``available_time`` across the coflow's flows (static).
 
         Once ``now`` passes this bound the schedulable set equals the
-        pending set, which makes the compaction caches exact.
+        pending set, which makes the port counts exact.
         """
         bound = self._max_avail.get(coflow.coflow_id)
         if bound is None:

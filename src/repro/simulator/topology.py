@@ -399,7 +399,7 @@ class LinkLedger(PortLedger):
     :meth:`path`) see the true bottleneck link with no topology knowledge.
     """
 
-    __slots__ = ("_paths",)
+    __slots__ = ("_paths", "_full_paths")
 
     def __init__(
         self,
@@ -410,6 +410,8 @@ class LinkLedger(PortLedger):
         self._fabric = topology.fabric
         self._metrics = None
         self._paths = paths
+        #: (src, dst) -> whole path, memoised over the map's choice.
+        self._full_paths: dict[tuple[int, int], tuple[int, ...]] = {}
         num_links = topology.num_links
         self._capacity = array(
             "d", [topology.link_capacity(link) for link in range(num_links)]
@@ -432,8 +434,13 @@ class LinkLedger(PortLedger):
 
     def path(self, src: int, dst: int) -> tuple[int, ...]:
         """The sender, the receiver and the core links the map assigns to
-        the pair (chosen on first lookup)."""
-        return (src, dst, *self._paths.extra_links(src, dst))
+        the pair (chosen on the map's first lookup)."""
+        key = (src, dst)
+        path = self._full_paths.get(key)
+        if path is None:
+            path = (src, dst, *self._paths.extra_links(src, dst))
+            self._full_paths[key] = path
+        return path
 
     def commit(self, src: int, dst: int, rate: float) -> None:
         """Reserve ``rate`` on the sender, the receiver and every core

@@ -1,8 +1,8 @@
 """Full-recompute reference engine: the equivalence suite's oracle.
 
 Production rounds are incremental: schedulers consume the engine's dirty
-set, reuse the cached ledger and the contention, queue, Γ and flow-group
-compaction caches, and the engine applies each allocation as a diff
+set, reuse the cached ledger and the contention, queue, Γ and port-count
+caches, and the engine applies each allocation as a diff
 against the previous one, finding completions through a lazy heap.
 :class:`ReferenceSimulator` turns every round into the round production
 runs first and after dynamics: the delta is flagged full (a fresh ledger,

@@ -1,5 +1,8 @@
 """CLI entry points."""
 
+import math
+import re
+
 import pytest
 
 from repro.cli import main
@@ -77,6 +80,71 @@ class TestRunExperiment:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["run-experiment", "fig99"])
+
+
+#: A number in a rendered table cell (``nan`` / ``inf`` included, so they
+#: fail the finiteness check instead of going unparsed).
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+|nan|inf)")
+
+
+def _policy_rows(text):
+    """``{policy: [numbers]}`` for every registered policy's table row in
+    ``text`` (one dict per rendered table, in order)."""
+    from repro.schedulers.registry import available_policies
+
+    policies = set(available_policies())
+    tables, current = [], None
+    for line in text.splitlines():
+        name = line.split(" ", 1)[0]
+        if line.startswith("policy "):
+            current = {}
+            tables.append(current)
+        elif current is not None and name in policies:
+            current[name] = [float(x) for x in NUMBER.findall(line[len(name):])]
+    return tables
+
+
+
+class TestTopologyExperimentsEndToEnd:
+    """fig-oversub and fig-collectives through the CLI at tiny scale:
+    every registered policy renders a row with a finite positive value in
+    every fabric column."""
+
+    def _check(self, text, labels, tables):
+        from repro.schedulers.registry import available_policies
+
+        rows = _policy_rows(text)
+        assert len(rows) == tables
+        for table in rows:
+            assert sorted(table) == sorted(available_policies())
+            for policy, values in table.items():
+                # One value for the first column, then (value, ratio) per
+                # further column.
+                assert len(values) == 2 * len(labels) - 1, policy
+                assert all(math.isfinite(v) and v > 0 for v in values), (
+                    policy, values)
+        for label in labels:
+            assert label in text
+
+    def test_fig_oversub_tiny(self, capsys):
+        from repro.experiments import fig_oversub
+
+        assert main(["run-experiment", "fig-oversub", "--scale", "tiny"]) == 0
+        labels = [fig_oversub.BIG_SWITCH] + [
+            f"oversub={r:g}" for r in fig_oversub.RATIOS]
+        self._check(capsys.readouterr().out, labels, tables=1)
+
+    def test_fig_collectives_tiny(self, capsys):
+        from repro.experiments import fig_collectives
+
+        assert main(
+            ["run-experiment", "fig-collectives", "--scale", "tiny"]) == 0
+        out = capsys.readouterr().out
+        labels = [f"oversub={r:g}" for r in fig_collectives.RATIOS]
+        self._check(out, labels,
+                    tables=len(fig_collectives.PATTERNS_SWEPT))
+        for pattern in fig_collectives.PATTERNS_SWEPT:
+            assert f"[{pattern}]" in out
 
 
 class TestSweepCommand:

@@ -49,6 +49,8 @@ from repro.simulator.engine import run_policy, run_scenario
 from repro.simulator.flows import clone_coflows
 from repro.simulator.scenario import Scenario
 from repro.simulator.session import SimulationSession
+from repro.simulator.topology import LeafSpineTopology
+from repro.workloads.synthetic import WorkloadGenerator, fb_like_spec
 
 from test_fuzz_equivalence import fingerprint, random_workload
 
@@ -287,6 +289,49 @@ class TestNonPerturbation:
             )
             assert traced == bare, f"port tracing perturbed {policy}"
             assert tracer.forces_python_kernels
+
+    @pytest.mark.parametrize("policy", available_policies())
+    def test_leaf_spine_hooks_fire_and_do_not_move_a_bit(self, policy,
+                                                          tmp_path):
+        """The topology hooks on a cross-rack leaf-spine run: the path
+        map's ``path_assign`` events, the utilisation sampler's
+        ``link_saturation`` counter, and the link ledger's ``ledger.*``
+        metrics all fire, and the traced, metered run is byte-identical to
+        the bare run."""
+        spec = fb_like_spec(num_machines=12, num_coflows=20)
+        fabric = spec.make_fabric()
+        coflows = WorkloadGenerator(spec, seed=5).generate_coflows(fabric)
+        cfg = _cfg()
+
+        def run(**hooks):
+            topology = LeafSpineTopology(fabric, racks=4, spines=2,
+                                         oversub=4.0,
+                                         path_select="least-loaded")
+            return fingerprint(run_policy(
+                make_scheduler(policy, cfg), clone_coflows(coflows), fabric,
+                cfg, topology=topology, **hooks))
+
+        bare = run()
+        path = tmp_path / f"{policy}.jsonl"
+        tracer = Tracer(str(path))
+        metrics = MetricsRegistry()
+        assert run(tracer=tracer, metrics=metrics) == bare
+        tracer.close()
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        names = [e.get("name") for e in events]
+        assigned = [e for e in events if e.get("name") == "path_assign"]
+        assert any(e["args"]["links"] for e in assigned), policy
+        assert all(e["args"]["selector"] == "least-loaded"
+                   for e in assigned)
+        saturation = [e for e in events if e.get("name") == "link_saturation"]
+        assert saturation and any(
+            e["args"]["links_active"] for e in saturation), policy
+        assert names.count("port_utilisation") >= len(saturation)
+        if policy not in ("aalo", "uc-tcp"):
+            # Every other policy's rates are committed through
+            # LinkLedger.commit (Aalo's port service and UC-TCP's fill
+            # charge the ledger in place).
+            assert metrics.counter("ledger.commit") > 0, policy
 
     def test_chrome_format_is_equally_inert(self, tmp_path):
         fabric, coflows = random_workload(4)
