@@ -234,58 +234,48 @@ class AaloScheduler(Scheduler):
         for q, _ in runs:
             total_weight += weight_of[q]
         rates_get = rates.get
-
-        def grant(i: int, budget: float) -> float:
-            """Grant row ``i`` up to ``budget``: the rate, 0.0 when a link
-            beyond the sender is exhausted, -1.0 when the sender is."""
-            rate = cap_src - lused[port]
-            if rate <= 0:
-                return -1.0
-            links = path(port, dst_col[i])
-            for link in links:
-                if link in dead:
-                    return 0.0
-            if budget < rate:
-                rate = budget
-            for link in links:
-                other = lcap[link] - lused[link]
-                if other < rate:
-                    rate = other
-            if rate <= 0:
-                # Sender residual and budget are positive here, so some
-                # later link of the path is exhausted: memoise it.
-                for link in links:
-                    if lcap[link] - lused[link] <= 0:
-                        dead.add(link)
-                return 0.0
-            for link in links:
-                new_used = lused[link] + rate
-                cap = lcap[link]
-                lused[link] = new_used if new_used < cap else cap
-            touched.update(links)
-            flow_id = fid[i]
-            rates[flow_id] = rates_get(flow_id, 0.0) + rate
-            scheduled.add(cid[i])
-            return rate
+        inf = math.inf
 
         # Pass 1: each occupied queue spends its weighted share, FIFO.
-        for q, run in runs:
-            budget = port_capacity * weight_of[q] / total_weight
+        # Pass 2 (work conservation): spill leftover capacity in strict
+        # priority+FIFO order, e.g. when a queue's share outruns its flows'
+        # receiver capacity — the same grant with an unbounded budget.
+        passes = [(port_capacity * weight_of[q] / total_weight, run)
+                  for q, run in runs]
+        passes += [(inf, run) for _, run in runs]
+        for budget, run in passes:
             for i in run:
                 if budget <= 0:
                     break
-                rate = grant(i, budget)
-                if rate < 0:
+                rate = cap_src - lused[port]
+                if rate <= 0:
                     return  # sender port exhausted
-                budget -= rate
-
-        # Pass 2 (work conservation): spill leftover capacity in strict
-        # priority+FIFO order, e.g. when a queue's share outruns its flows'
-        # receiver capacity.
-        for _, run in runs:
-            for i in run:
-                if grant(i, math.inf) < 0:
-                    return  # sender port exhausted
+                links = path(port, dst_col[i])
+                if budget < rate:
+                    rate = budget
+                for link in links:
+                    if link in dead:
+                        break  # no grant across an exhausted link
+                    other = lcap[link] - lused[link]
+                    if other < rate:
+                        rate = other
+                else:
+                    if rate > 0:
+                        for link in links:
+                            new_used = lused[link] + rate
+                            cap = lcap[link]
+                            lused[link] = new_used if new_used < cap else cap
+                        touched.update(links)
+                        budget -= rate
+                        flow_id = fid[i]
+                        rates[flow_id] = rates_get(flow_id, 0.0) + rate
+                        scheduled.add(cid[i])
+                    else:
+                        # Sender residual and budget are positive here, so
+                        # some later link of the path is exhausted: memoise.
+                        for link in links:
+                            if lcap[link] - lused[link] <= 0:
+                                dead.add(link)
 
     def next_wakeup(self, state: ClusterState, allocation: Allocation,
                     now: float) -> float | None:

@@ -505,11 +505,6 @@ class ClusterState:
             self._port_counts[coflow.coflow_id] = counts
         return counts
 
-    def pending_flows(self, coflow: CoFlow) -> list[Flow]:
-        """The :class:`Flow` views of the coflow's pending rows."""
-        view = self.table.view
-        return [view[i] for i in self._pending_rows[coflow.coflow_id]]
-
     def active_flow_count(self) -> int:
         return sum(
             len(c.unfinished_flows()) for c in self.active_coflows

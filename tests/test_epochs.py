@@ -492,7 +492,9 @@ def test_flow_group_compaction_cache_consistency():
     assert state.pending_rows(coflow) == coflow._rows[1:]
     # Counts always mirror a fresh recount of the pending set.
     recount: dict[int, int] = {}
-    for f in state.pending_flows(coflow):
-        recount[f.src] = recount.get(f.src, 0) + 1
-        recount[f.dst] = recount.get(f.dst, 0) + 1
+    table = state.table
+    for i in state.pending_rows(coflow):
+        src, dst = table.src[i], table.dst[i]
+        recount[src] = recount.get(src, 0) + 1
+        recount[dst] = recount.get(dst, 0) + 1
     assert recount == state.pending_port_counts(coflow)

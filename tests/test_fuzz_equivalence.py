@@ -60,7 +60,6 @@ import pytest
 
 from repro import _fastcore
 from repro.config import QueueConfig, SimulationConfig
-from repro.core.saath import SaathScheduler
 from repro.errors import CapacityViolationError
 from repro.observability import MetricsRegistry
 from repro.schedulers.aalo import AaloScheduler
