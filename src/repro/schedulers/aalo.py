@@ -133,8 +133,8 @@ class AaloScheduler(Scheduler):
         return ids, groups
 
     def _per_sender(self, ids: list[int], groups: list[list[int]],
-                    src_of) -> dict[int, list[tuple[int, list[int]]]]:
-        """Each sender port's rows (whose sender ``src_of`` reads) sliced
+                    src_col) -> dict[int, list[tuple[int, list[int]]]]:
+        """Each sender port's rows (senders read from ``src_col``) sliced
         into runs of equal queue, in service order.
 
         Emitting the coflows in (queue, FIFO) order, each coflow's flows
@@ -144,13 +144,12 @@ class AaloScheduler(Scheduler):
         """
         qmap = self.tracker.queue_map
         fifo = self._arrival_order
-        per_sender: dict[int, list[tuple[int, list[int]]]] = defaultdict(
-            list)
+        per_sender: dict[int, list[tuple[int, list]]] = defaultdict(list)
         for k in sorted(range(len(ids)),
                         key=lambda k: (qmap[ids[k]], fifo[ids[k]])):
             queue = qmap[ids[k]]
             for f in groups[k]:
-                runs = per_sender[src_of(f)]
+                runs = per_sender[src_col[f]]
                 if not runs or runs[-1][0] != queue:
                     runs.append((queue, [f]))
                 else:
@@ -193,7 +192,7 @@ class AaloScheduler(Scheduler):
             return
         if self.metrics is not None:
             self.metrics.inc("kernel.aalo_ports.python")
-        per_sender = self._per_sender(ids, groups, table.src.__getitem__)
+        per_sender = self._per_sender(ids, groups, table.src)
         # Links observed exhausted anywhere this round: usage only ever
         # grows within a round, so a later grant across such a link would
         # be 0 and commit nothing — skipping it is an exact no-op.

@@ -48,6 +48,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from ..errors import SimulationError
 from .fabric import Fabric, PortLedger
 from .flows import CoFlow, Flow
 from .topology import LinkLedger, PathMap, Topology
@@ -189,8 +190,18 @@ class FlowTable:
         self._free.append(row)
 
     def adopt_coflow(self, coflow: CoFlow) -> list[int]:
-        """Adopt every flow of ``coflow``; rows align with ``flows`` order."""
+        """Adopt every flow of ``coflow``; rows align with ``flows`` order.
+
+        A coflow's flows are views of one table at a time: adopting a
+        coflow that another table holds raises :class:`SimulationError`
+        (clone it, or build the second state after the first is done).
+        """
         if coflow._rows is not None:
+            if coflow._table is not self:
+                raise SimulationError(
+                    f"coflow {coflow.coflow_id} is already registered in "
+                    f"another flow table"
+                )
             return coflow._rows
         rows = [self.adopt(f, pos) for pos, f in enumerate(coflow.flows)]
         coflow._table = self
@@ -366,9 +377,8 @@ class ClusterState:
     @property
     def row_map(self) -> dict[int, list[int]]:
         """Live ``coflow_id →`` all table rows of each registered coflow
-        attached to ``table`` (one row per flow, in ``flows`` order, so a
-        coflow's width is the length of its rows; read-only by
-        convention)."""
+        (one row per flow, in ``flows`` order, so a coflow's width is the
+        length of its rows; read-only by convention)."""
         return self._coflow_rows
 
     @property
@@ -527,8 +537,7 @@ class ClusterState:
         """
         self._by_id[coflow.coflow_id] = coflow
         rows = self.table.adopt_coflow(coflow)
-        if coflow._table is self.table:
-            self._coflow_rows[coflow.coflow_id] = rows
+        self._coflow_rows[coflow.coflow_id] = rows
         ft = self.table.finish_time
         self._pending_rows[coflow.coflow_id] = [
             i for i in rows if ft[i] is None

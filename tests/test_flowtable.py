@@ -15,6 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import SimulationConfig
+from repro.errors import SimulationError
 from repro.schedulers.base import Allocation
 from repro.schedulers.registry import make_scheduler
 from repro.simulator.engine import Simulator
@@ -189,6 +190,17 @@ class TestViewCoherence:
                 assert f._tbl is None
                 assert f.finish_time is not None
                 assert f.bytes_sent == f.volume
+
+    def test_hand_built_state_registers_its_coflows(self):
+        fabric = Fabric(num_machines=4, port_rate=1e3)
+        c = _coflow(1, 3)
+        state = ClusterState(fabric=fabric, active_coflows=[c])
+        assert c._table is state.table
+        assert state.pending_rows(c) == c._rows == state.row_map[1]
+        assert state.coflow(1) is c
+        # A coflow's flows view one table at a time.
+        with pytest.raises(SimulationError, match="coflow 1"):
+            ClusterState(fabric=fabric, active_coflows=[c])
 
     def test_cluster_state_note_activated_adopts(self):
         fabric = Fabric(num_machines=4, port_rate=1e3)
