@@ -1659,10 +1659,7 @@ class SimulationSession:
         avail = tbl.available_time
         view = tbl.view
         for coflow in state.active_coflows:
-            rows = state.pending_rows(coflow)
-            if rows is None:  # pragma: no cover - engine states always track
-                rows = []
-            for i in rows:
+            for i in state.pending_rows(coflow):
                 if ft[i] is not None:
                     continue
                 rate = rates_get(fid[i], 0.0)
