@@ -110,20 +110,18 @@ def max_min_fair_rows_raw(
     lused = ledger.used_list
     path = ledger.path
 
+    paths = [path(src_col[i], dst_col[i]) for i in active]
     # Link ids are dense, so the first-seen map is a flat position list.
     link_pos: list[int] = [-1] * len(lcap)
     residual: list[float] = []
     live: list[int] = []
     #: dense link -> flow positions crossing it, in flow order.
     members: list[list[int]] = []
-    #: flow position -> dense indices of every link on its path.
-    path_idx: list[list[int]] = [[]] * num_flows
-    for k, i in enumerate(active):
-        idx = []
-        for link in path(src_col[i], dst_col[i]):
+    for k, links in enumerate(paths):
+        for link in links:
             j = link_pos[link]
             if j < 0:
-                link_pos[link] = j = len(residual)
+                link_pos[link] = len(residual)
                 r = lcap[link] - lused[link]  # == ledger.residual(link)
                 residual.append(r if r >= 0.0 else 0.0)
                 live.append(1)
@@ -131,8 +129,6 @@ def max_min_fair_rows_raw(
             else:
                 live[j] += 1
                 members[j].append(k)
-            idx.append(j)
-        path_idx[k] = idx
 
     frozen = bytearray(num_flows)
     remaining = num_flows
@@ -168,7 +164,8 @@ def max_min_fair_rows_raw(
                 continue
             frozen[k] = 1
             rate_of[k] = best_share
-            for j in path_idx[k]:
+            for link in paths[k]:
+                j = link_pos[link]
                 nr = residual[j] - best_share
                 residual[j] = nr = nr if nr >= 0 else 0.0
                 lv = live[j] - 1
