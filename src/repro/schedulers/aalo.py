@@ -250,31 +250,30 @@ class AaloScheduler(Scheduler):
                 if rate <= 0:
                     return  # sender port exhausted
                 links = path(port, dst_col[i])
+                if not dead.isdisjoint(links):
+                    continue  # no grant across an exhausted link
                 if budget < rate:
                     rate = budget
                 for link in links:
-                    if link in dead:
-                        break  # no grant across an exhausted link
                     other = lcap[link] - lused[link]
                     if other < rate:
                         rate = other
-                else:
-                    if rate > 0:
-                        for link in links:
-                            new_used = lused[link] + rate
-                            cap = lcap[link]
-                            lused[link] = new_used if new_used < cap else cap
-                        touched.update(links)
-                        budget -= rate
-                        flow_id = fid[i]
-                        rates[flow_id] = rates_get(flow_id, 0.0) + rate
-                        scheduled.add(cid[i])
-                    else:
-                        # Sender residual and budget are positive here, so
-                        # some later link of the path is exhausted: memoise.
-                        for link in links:
-                            if lcap[link] - lused[link] <= 0:
-                                dead.add(link)
+                if rate <= 0:
+                    # Sender residual and budget are positive here, so some
+                    # later link of the path is exhausted: memoise it.
+                    for link in links:
+                        if lcap[link] - lused[link] <= 0:
+                            dead.add(link)
+                    continue
+                for link in links:
+                    new_used = lused[link] + rate
+                    cap = lcap[link]
+                    lused[link] = new_used if new_used < cap else cap
+                touched.update(links)
+                budget -= rate
+                flow_id = fid[i]
+                rates[flow_id] = rates_get(flow_id, 0.0) + rate
+                scheduled.add(cid[i])
 
     def next_wakeup(self, state: ClusterState, allocation: Allocation,
                     now: float) -> float | None:
