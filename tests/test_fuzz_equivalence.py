@@ -38,8 +38,9 @@ them on a cross-rack leaf-spine
 ``*_paths`` twins, each side with its own ``least-loaded`` path map, so
 the order in which paths are first looked up must match too. The
 ``*-fastcore`` variants run the same trials with ``table.fastcore`` set,
-routing the row forms through the compiled kernels — they skip cleanly
-when the extension is not built. The ``saath-round`` legs fuzz Saath's
+routing the row forms through the compiled kernels, whose oracle is the
+Python reference: each trial also runs the reference and pins the kernel
+to it — they skip cleanly when the extension is not built. The ``saath-round`` legs fuzz Saath's
 whole admission round (:func:`~repro.simulator.ratealloc.saath_round_rows`,
 Python reference and compiled ``saath_round``) against the oracle round,
 on a big switch and on a leaf-spine. The ``aalo-round`` legs do the same
@@ -351,46 +352,53 @@ def _saath_round_instance(rng, machines, min_rate):
 def _assert_saath_round_matches(groups, table, fabric, precommits, min_rate,
                                 work_conservation, fastcore, label,
                                 topology=None):
-    """Run the oracle round and ``saath_round_rows`` on twin ledgers and
-    pin rates (with insertion order), admitted / work-conserved sets (with
-    iteration order), ledger state, path assignments and kernel
-    counters."""
-    obj_ledger, row_ledger = _twin_ledgers(fabric, topology)
-    for src, dst, rate in precommits:
-        obj_ledger.commit(src, dst, rate)
-        row_ledger.commit(src, dst, rate)
-    metrics = MetricsRegistry()
-    row_ledger._metrics = metrics
-    expected, calls, obj_error = _object_saath_round(
-        groups, obj_ledger, min_rate, work_conservation,
-        paths=None if topology is None else obj_ledger._paths)
-    got = Allocation()
-    ids = [cid for cid, *_ in groups]
-    table.fastcore = fastcore
-    try:
-        saath_round_rows(
-            ids, [g[2] for g in groups], [g[3] for g in groups], table,
-            row_ledger, got, min_rate=min_rate,
-            work_conservation=work_conservation,
+    """Run the oracle round and ``saath_round_rows`` — the Python
+    reference, and with ``fastcore`` also the compiled kernel — on twin
+    ledgers and pin rates (with insertion order), admitted /
+    work-conserved sets (with iteration order), ledger state, path
+    assignments and kernel counters."""
+
+    def outcome(allocation, ledger, error):
+        return (
+            (type(error), str(error)), list(allocation.rates.items()),
+            list(allocation.scheduled_coflows),
+            list(allocation.work_conserved_coflows),
+            [u.hex() for u in ledger.used_list], ledger.touched_set,
+            _assigned(ledger),
         )
-        row_error = None
-    except CapacityViolationError as exc:
-        row_error = exc
-    assert (type(row_error), str(row_error)) == (
-        type(obj_error), str(obj_error)), label
-    assert list(got.rates.items()) == list(expected.rates.items()), label
-    assert list(got.scheduled_coflows) == list(expected.scheduled_coflows), (
-        label)
-    assert (list(got.work_conserved_coflows)
-            == list(expected.work_conserved_coflows)), label
-    assert ([u.hex() for u in row_ledger.used_list]
-            == [u.hex() for u in obj_ledger.used_list]), label
-    assert row_ledger.touched_set == obj_ledger.touched_set, label
-    assert _assigned(row_ledger) == _assigned(obj_ledger), label
-    if obj_error is None:
-        kind = "fastcore" if fastcore and topology is None else "python"
-        assert metrics.counter(f"kernel.equal_rate_rows.{kind}") == calls[0]
-        assert metrics.counter(f"kernel.greedy_rows.{kind}") == calls[1]
+
+    ids = [cid for cid, *_ in groups]
+    runs = []
+    for compiled in dict.fromkeys((False, fastcore)):
+        obj_ledger, row_ledger = _twin_ledgers(fabric, topology)
+        for src, dst, rate in precommits:
+            obj_ledger.commit(src, dst, rate)
+            row_ledger.commit(src, dst, rate)
+        metrics = MetricsRegistry()
+        row_ledger._metrics = metrics
+        expected, calls, obj_error = _object_saath_round(
+            groups, obj_ledger, min_rate, work_conservation,
+            paths=None if topology is None else obj_ledger._paths)
+        got = Allocation()
+        table.fastcore = compiled
+        try:
+            saath_round_rows(
+                ids, [g[2] for g in groups], [g[3] for g in groups], table,
+                row_ledger, got, min_rate=min_rate,
+                work_conservation=work_conservation,
+            )
+            row_error = None
+        except CapacityViolationError as exc:
+            row_error = exc
+        runs.append(outcome(got, row_ledger, row_error))
+        assert runs[-1] == outcome(expected, obj_ledger, obj_error), label
+        if obj_error is None:
+            kind = "fastcore" if compiled and topology is None else "python"
+            assert (metrics.counter(f"kernel.equal_rate_rows.{kind}")
+                    == calls[0])
+            assert metrics.counter(f"kernel.greedy_rows.{kind}") == calls[1]
+    # The kernel's oracle is the Python reference.
+    assert runs[-1] == runs[0], label
     return expected, obj_error
 
 
@@ -556,14 +564,17 @@ def _check_aalo_round(rng, fastcore):
             probe = LeafSpineTopology(fabric, racks=3, spines=2)
             dead.add(probe.uplink(rng.randrange(3), rng.randrange(2)))
         outcomes = []
-        for use_oracle in (False, True):
+        # The oracle, the Python reference and (with ``fastcore``) the
+        # kernel, each on its own state.
+        for use_oracle, compiled in dict.fromkeys(
+                ((True, False), (False, False), (False, fastcore))):
             topology = (LeafSpineTopology(fabric, racks=3, spines=2,
                                           oversub=2.0,
                                           path_select="least-loaded")
                         if leaf else None)
             state = _build_round(specs, fabric, notify_finished=True,
                                  topology=topology)
-            state.table.fastcore = fastcore
+            state.table.fastcore = compiled
             state.capacity_override = {p: 0.0 for p in dead}
             aalo = AaloScheduler(_queue_config(num_queues))
             metrics = MetricsRegistry()
@@ -576,7 +587,7 @@ def _check_aalo_round(rng, fastcore):
                 oracle.aalo_round(aalo, state, 1.0, allocation)
             else:
                 allocation = aalo.schedule(state, 1.0)
-                kind = "fastcore" if fastcore and not leaf else "python"
+                kind = "fastcore" if compiled and not leaf else "python"
                 assert metrics.counter(f"kernel.aalo_ports.{kind}") == 1
             ledger = state._cached_ledger
             outcomes.append((
@@ -587,8 +598,9 @@ def _check_aalo_round(rng, fastcore):
                 aalo.tracker.queue_map,
                 _assigned(ledger),
             ))
-        row, obj = outcomes
-        assert row == obj, f"aalo-round trial {trial} (leaf-spine={leaf})"
+        obj, row = outcomes[0], outcomes[-1]
+        assert all(o == obj for o in outcomes), (
+            f"aalo-round trial {trial} (leaf-spine={leaf})")
         queues_at = {}
         for cid, flows in specs:
             for f in flows:
@@ -796,28 +808,45 @@ def test_row_allocators_match_object_allocators(allocator):
         topology = LeafSpineTopology(fabric, racks=4, spines=2, oversub=4.0,
                                      path_select="least-loaded")
     coflow_stub = CoFlow(coflow_id=1, arrival_time=0.0, flows=[])
+    allocate = {
+        "mmf": max_min_fair_rows, "madd": madd_rates_rows,
+        "equal": equal_rate_for_coflow_rows,
+        "greedy": greedy_residual_rates_rows,
+    }[allocator]
     crossed = 0
     for trial in range(120):
         flows, table, rows = _random_attached_flows(rng, machines)
-        table.fastcore = fastcore
         obj_ledger, row_ledger = _twin_ledgers(fabric, topology)
+        ref_ledger = _twin_ledgers(fabric, topology)[0]
         paths = None if topology is None else obj_ledger._paths
         # Pre-commit some random load so residuals differ across links.
         for _ in range(rng.randrange(0, 4)):
             src = rng.randrange(machines)
             dst = rng.choice([src, rng.randrange(machines)]) + machines
-            obj_ledger.commit(src, dst, 1e5)
-            row_ledger.commit(src, dst, 1e5)
+            for ledger in (obj_ledger, row_ledger, ref_ledger):
+                ledger.commit(src, dst, 1e5)
+        cap = (rng.choice([None, None, 0.0, 1e3, 2e9])
+               if allocator == "mmf" else None)
+        kwargs = {"rate_cap": cap} if allocator == "mmf" else {}
+        if fastcore:
+            # The kernel's oracle is the Python reference.
+            table.fastcore = False
+            reference = allocate(rows, table, ref_ledger, **kwargs)
+        table.fastcore = fastcore
+        got = allocate(rows, table, row_ledger, **kwargs)
+        if fastcore:
+            assert got == reference, f"{allocator} kernel at trial {trial}"
+            assert (row_ledger.snapshot_residuals()
+                    == ref_ledger.snapshot_residuals()), (
+                f"{allocator} kernel ledger at trial {trial}")
 
         if allocator == "mmf":
-            cap = rng.choice([None, None, 0.0, 1e3, 2e9])
             if paths is None:
                 expected = oracle.max_min_fair(flows, obj_ledger,
                                                rate_cap=cap)
             else:
                 expected = oracle.max_min_fair_paths(flows, paths,
                                                      obj_ledger, rate_cap=cap)
-            got = max_min_fair_rows(rows, table, row_ledger, rate_cap=cap)
         elif allocator == "madd":
             if paths is None:
                 expected = oracle.madd_rates(coflow_stub, obj_ledger,
@@ -825,7 +854,6 @@ def test_row_allocators_match_object_allocators(allocator):
             else:
                 expected = oracle.madd_rates_paths(coflow_stub, obj_ledger,
                                                    paths, flows=flows)
-            got = madd_rates_rows(rows, table, row_ledger)
         elif allocator == "equal":
             if paths is None:
                 expected = oracle.equal_rate_for_coflow(
@@ -833,10 +861,8 @@ def test_row_allocators_match_object_allocators(allocator):
             else:
                 expected = oracle.equal_rate_for_coflow_paths(
                     coflow_stub, obj_ledger, paths, flows=flows)
-            got = equal_rate_for_coflow_rows(rows, table, row_ledger)
         else:
             expected = oracle.greedy_residual_rates(flows, obj_ledger)
-            got = greedy_residual_rates_rows(rows, table, row_ledger)
 
         assert got == expected, f"{allocator} diverged at trial {trial}"
         assert (row_ledger.snapshot_residuals()
