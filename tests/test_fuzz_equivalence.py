@@ -783,8 +783,8 @@ def test_row_allocators_match_object_allocators(allocator):
     the former ``*_paths`` twins, each side with its own ``least-loaded``
     path map, and also pin the path assignments. The ``*-fastcore``
     variants set ``table.fastcore`` so the row forms dispatch to the
-    compiled kernels, fuzzing C directly against the oracles; they skip
-    when the extension is not built."""
+    compiled kernels, fuzzing C against the Python reference and the
+    oracles; they skip when the extension is not built."""
     fastcore = allocator.endswith("-fastcore")
     if fastcore:
         if not _fastcore.AVAILABLE:
